@@ -1,9 +1,10 @@
 """Command-line pipeline: generate, detect, evaluate, profile.
 
 Runs are driven by a flat JSON config document (every key optional, unknown
-keys rejected) plus a few overriding flags.  Exit codes: 0 success, 1 usage
-or config error, 2 data error.  Set ``MPSTREAM_LOG=debug|info|warning`` to
-control diagnostics on stderr.
+keys rejected) plus a few overriding flags.  :func:`main` returns the exit
+code: 0 success, 1 usage or config error (including an unknown command or
+flag), 2 data error; ``--help`` exits 0.  Set
+``MPSTREAM_LOG=debug|info|warning`` to control diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_detect(cfg: RunConfig, in_path: Path, out: Path, threads: int) -> int:
+def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
     times, values, labels = read_dataset(in_path)
     detector = AnomalyDetector(m=cfg.window, config=cfg.detector_config(),
                                capacity=cfg.capacity,
@@ -224,12 +225,11 @@ def cmd_evaluate(pred_path: Path, truth_path: Path, n: int,
     return 0
 
 
-def cmd_profile(cfg: RunConfig, in_path: Path, out: Path, threads: int) -> int:
+def cmd_profile(cfg: RunConfig, in_path: Path, out: Path) -> int:
     _, values, _ = read_dataset(in_path)
     try:
         mp = matrix_profile(values, cfg.window,
-                            exclusion_radius=cfg.exclusion_radius,
-                            threads=threads)
+                            exclusion_radius=cfg.exclusion_radius)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
@@ -246,8 +246,16 @@ def cmd_profile(cfg: RunConfig, in_path: Path, out: Path, threads: int) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError (exit 1); 2 means a data error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mpstream",
         description="Streaming Matrix Profile anomaly detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -256,8 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
         p.add_argument("--seed", type=int, metavar="N", help="override the config seed")
         p.add_argument("--window", type=int, metavar="M", help="override the window size")
-        p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker threads for batch profile computation")
         p.add_argument("--out", metavar="PATH", help="output path")
         if with_input:
             p.add_argument("input", nargs="?",
@@ -289,9 +295,8 @@ def _configure_logging():
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "evaluate":
             out = Path(args.out) if args.out else None
             return cmd_evaluate(Path(args.events), Path(args.truth),
@@ -301,8 +306,6 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.window is not None:
             cfg.window = args.window
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         if args.command == "generate":
             out = Path(args.out or cfg.out or "dataset.csv")
             return cmd_generate(cfg, out)
@@ -312,10 +315,10 @@ def main(argv=None) -> int:
         in_path = Path(input_arg)
         if args.command == "detect":
             out = Path(args.out or cfg.out or "events.csv")
-            return cmd_detect(cfg, in_path, out, args.threads)
+            return cmd_detect(cfg, in_path, out)
         if args.command == "profile":
             out = Path(args.out or cfg.out or "profile.csv")
-            return cmd_profile(cfg, in_path, out, args.threads)
+            return cmd_profile(cfg, in_path, out)
         raise ConfigError(f"unknown command {args.command}")
     except ConfigError as exc:
         print(f"mpstream: error: {exc}", file=sys.stderr)

@@ -8,14 +8,16 @@ provided: :func:`matrix_profile_brute`, a direct all-pairs reference, and
 incremental sliding dot-product recurrence.  Both share the same degenerate
 conventions for zero-variance (flat) subsequences.
 
-Everything here is a pure function of its inputs and safe to call from any
-number of threads concurrently.
+:func:`nearest_correlations` and :func:`match_distance` are the distance
+kernel that :func:`matrix_profile` shares with the streaming left profile.
+
+Apart from the buffers :func:`nearest_correlations` fills, everything here
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,8 @@ __all__ = [
     "rolling_stats",
     "znorm_distance",
     "sliding_dot_products",
+    "nearest_correlations",
+    "match_distance",
     "matrix_profile_brute",
     "matrix_profile",
     "discords",
@@ -39,9 +43,8 @@ __all__ = [
 # is +inf.  Serialized as an empty CSV field.
 SENTINEL_INDEX = -1
 
-# Rows per fresh dot-product restart inside matrix_profile().  Fixed (not
-# derived from the thread count) so results are bit-identical for any
-# --threads setting; restarting also bounds recurrence drift.
+# Rows per fresh dot-product restart inside matrix_profile(); restarting
+# bounds recurrence drift.
 _QT_CHUNK = 256
 
 # The dot-product identity loses absolute precision only where the distance
@@ -106,16 +109,8 @@ class MatrixProfile:
 
 
 def _as_samples(series) -> np.ndarray:
-    if isinstance(series, TimeSeries):
-        return series.samples
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if x.size < 1:
-        raise ValueError("series must contain at least one sample")
-    if not np.isfinite(x).all():
-        raise ValueError("series samples must all be finite")
-    return x
+    """Validated float64 samples of a TimeSeries or array-like."""
+    return (series if isinstance(series, TimeSeries) else TimeSeries(series)).samples
 
 
 def _validate_window(m: int, n: int) -> int:
@@ -132,10 +127,16 @@ def default_exclusion_radius(m: int) -> int:
     return math.ceil(m / 4)
 
 
+def _validate_radius(exclusion_radius: int | None, m: int) -> int:
+    """The given trivial-match radius, or the default; must be >= 0."""
+    r = default_exclusion_radius(m) if exclusion_radius is None else int(exclusion_radius)
+    if r < 0:
+        raise ValueError("exclusion radius must be >= 0")
+    return r
+
+
 def _constant_windows(x: np.ndarray, m: int) -> np.ndarray:
     """Boolean mask of windows whose samples are all bitwise equal."""
-    if m == 1:
-        return np.ones(x.size, dtype=bool)
     changes = (x[1:] != x[:-1]).astype(np.int64)
     csum = np.concatenate(([0], np.cumsum(changes)))
     # Window i is constant iff no change point falls in [i, i+m-2].
@@ -207,7 +208,7 @@ def _znorm_windows(x: np.ndarray, m: int, stats: RollingStats) -> tuple[np.ndarr
 
 
 def _pair_distance(a: np.ndarray, b: np.ndarray, m: int) -> float:
-    """Distance kernel shared by znorm_distance and the winner refinement."""
+    """Distance between two windows computed directly from their samples."""
     sa = a.std()
     sb = b.std()
     flat_a = sa == 0.0 or np.ptp(a) == 0.0
@@ -221,49 +222,65 @@ def _pair_distance(a: np.ndarray, b: np.ndarray, m: int) -> float:
     return math.sqrt(min(max(d2, 0.0), 4.0 * m))
 
 
-def refine_pair_distance(x: np.ndarray, m: int, i: int, j: int,
-                         znormalize: bool = True) -> float:
-    """Direct distance between subsequences ``i`` and ``j`` of ``x``.
+def nearest_correlations(qt, mu, sig, means, stds, flat, m, out, tmp):
+    """Pearson correlation of one subsequence against each candidate.
 
-    The dot-product identity used for the nearest-neighbor search loses
-    absolute precision near zero (cancellation amplified by the square
-    root), so the winning pair's distance is re-evaluated directly from the
-    samples; every reported profile value is then reproducible from its
-    neighbor via :func:`znorm_distance` to within 1e-9, even on series with
-    exact repeats.
+    ``qt[j]`` is the dot product of the subsequence (mean ``mu``, std
+    ``sig``) with candidate ``j`` (``means[j]``, ``stds[j]``).  ``out[j]``
+    receives the correlation clipped to [-1, 1]; the nearest neighbor is its
+    argmax, at z-normalized distance ``sqrt(2m(1 - out[j]))``.  The only
+    flat-window rule: flat against flat correlates fully (distance 0), flat
+    against non-flat not at all (sqrt(2m)).  ``flat`` masks the flat
+    candidates, or is None when there are none; ``tmp`` is scratch.
     """
-    a = x[i:i + m]
-    b = x[j:j + m]
-    if not znormalize:
-        d = a - b
-        return math.sqrt(float(np.dot(d, d)))
-    return _pair_distance(a, b, m)
+    if sig == 0.0:
+        out.fill(0.0)
+        if flat is not None:
+            out[flat] = 1.0
+        return out
+    np.multiply(means, m * mu, out=out)
+    np.subtract(qt, out, out=out)
+    np.multiply(stds, m * sig, out=tmp)
+    if flat is not None:
+        tmp[flat] = 1.0
+    np.divide(out, tmp, out=out)
+    np.clip(out, -1.0, 1.0, out=out)
+    if flat is not None:
+        out[flat] = 0.0
+    return out
 
 
-def matrix_profile_brute(series, m: int, exclusion_radius: int | None = None,
-                         znormalize: bool = True) -> MatrixProfile:
+def match_distance(x: np.ndarray, m: int, i: int, j: int, rho: float) -> float:
+    """Distance between subsequences ``i`` and ``j`` of ``x`` whose
+    correlation from :func:`nearest_correlations` is ``rho``.
+
+    The dot-product identity loses absolute precision near zero, so matches
+    correlated at least :data:`REFINE_RHO` are re-evaluated directly from
+    the samples: every reported profile value then reproduces from its
+    neighbor via :func:`znorm_distance` to 1e-9, even on exact repeats.
+    """
+    two_m = 2.0 * m
+    d2 = two_m * (1.0 - rho)
+    if d2 <= (1.0 - REFINE_RHO) * two_m:
+        return _pair_distance(x[i:i + m], x[j:j + m], m)
+    return math.sqrt(d2)
+
+
+def matrix_profile_brute(series, m: int, exclusion_radius: int | None = None) -> MatrixProfile:
     """All-pairs reference Matrix Profile.
 
     For every subsequence the distance to each other subsequence outside the
     exclusion zone is evaluated directly on explicitly normalized windows;
     the minimum (ties to the lowest index) becomes the profile entry.  Serves
-    as the correctness oracle for :func:`matrix_profile`.
+    as the correctness oracle for :func:`matrix_profile` and shares none of
+    its correlation kernel.
     """
     x = _as_samples(series)
     m = _validate_window(m, x.size)
-    r = default_exclusion_radius(m) if exclusion_radius is None else int(exclusion_radius)
-    if r < 0:
-        raise ValueError("exclusion radius must be >= 0")
+    r = _validate_radius(exclusion_radius, m)
     p = x.size - m + 1
 
-    stats = rolling_stats(x, m)
-    if znormalize:
-        rows, flat = _znorm_windows(x, m, stats)
-        cap = 4.0 * m
-    else:
-        rows = sliding_window_view(x, m).astype(np.float64)
-        flat = None
-        cap = np.inf
+    rows, flat = _znorm_windows(x, m, rolling_stats(x, m))
     sqnorms = np.einsum("ij,ij->i", rows, rows)
 
     distances = np.full(p, np.inf)
@@ -274,83 +291,32 @@ def matrix_profile_brute(series, m: int, exclusion_radius: int | None = None,
         d2 *= -2.0
         d2 += sqnorms
         d2 += sqnorms[i]
-        if flat is not None:
-            if flat[i]:
-                d2[:] = 2.0 * m
-                d2[flat] = 0.0
-            else:
-                d2[flat] = 2.0 * m
-        np.clip(d2, 0.0, cap, out=d2)
+        if flat[i]:
+            d2[:] = 2.0 * m
+            d2[flat] = 0.0
+        else:
+            d2[flat] = 2.0 * m
+        np.clip(d2, 0.0, 4.0 * m, out=d2)
         lo = max(0, i - r)
         hi = min(p, i + r + 1)
         d2[lo:hi] = np.inf
         j = int(np.argmin(d2))
         if np.isfinite(d2[j]):
             # The reference path always re-evaluates the winner directly.
-            distances[i] = refine_pair_distance(x, m, i, j, znormalize)
+            distances[i] = _pair_distance(x[i:i + m], x[j:j + m], m)
             indices[i] = j
     return MatrixProfile(distances=distances, indices=indices, m=m)
 
 
-def _profile_chunk(x, m, r, lo, hi, qt_row0, means, stds, flat, any_flat,
-                   sqsums, znormalize, distances, indices):
-    """Profile rows [lo, hi) via the dot-product recurrence.
-
-    ``qt[j]`` tracks dot(window_i, window_j); each chunk restarts it from a
-    fresh sliding dot product so output is independent of chunking and
-    recurrence drift stays bounded.
-    """
-    n = x.size
-    p = n - m + 1
-    two_m = 2.0 * m
-    qt = None
-    d2 = np.empty(p)
-    for i in range(lo, hi):
-        if qt is None:
-            qt = qt_row0.copy() if i == 0 else sliding_dot_products(x[i:i + m], x)
-        else:
-            qt[1:] = qt[:-1] - x[:p - 1] * x[i - 1] + x[m:n] * x[i + m - 1]
-            qt[0] = qt_row0[i]
-
-        if znormalize:
-            if any_flat and flat[i]:
-                d2[:] = two_m
-                d2[flat] = 0.0
-            else:
-                denom = (m * stds[i]) * stds
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(qt - (m * means[i]) * means, denom, out=d2)
-                np.subtract(1.0, d2, out=d2)
-                d2 *= two_m
-                if any_flat:
-                    d2[flat] = two_m
-                np.clip(d2, 0.0, 2.0 * two_m, out=d2)
-        else:
-            np.multiply(qt, -2.0, out=d2)
-            d2 += sqsums
-            d2 += sqsums[i]
-            np.maximum(d2, 0.0, out=d2)
-
-        d2[max(0, i - r):min(p, i + r + 1)] = np.inf
-        j = int(np.argmin(d2))
-        if np.isfinite(d2[j]):
-            scale = two_m if znormalize else sqsums[i] + sqsums[j]
-            if d2[j] <= (1.0 - REFINE_RHO) * scale:
-                distances[i] = refine_pair_distance(x, m, i, j, znormalize)
-            else:
-                distances[i] = math.sqrt(d2[j])
-            indices[i] = j
-
-
-def matrix_profile(series, m: int, exclusion_radius: int | None = None,
-                   znormalize: bool = True, threads: int = 1) -> MatrixProfile:
+def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> MatrixProfile:
     """Matrix Profile in O(n^2) time and O(n) auxiliary space.
 
     Equivalent to :func:`matrix_profile_brute` within 1e-6 per element
-    (indices up to distance ties).  Dot products between consecutive rows are
-    updated incrementally instead of recomputed.  Rows are processed in
-    fixed-size chunks; ``threads`` only distributes chunks across workers, so
-    the output is bit-identical for every thread count.
+    (indices up to distance ties).  ``qt[j]`` tracks dot(window_i, window_j)
+    and is updated incrementally from row to row; every ``_QT_CHUNK`` rows
+    it restarts from a fresh sliding dot product, which bounds recurrence
+    drift.  Each row is scored with :func:`nearest_correlations` and its
+    winner with :func:`match_distance`, the same kernel the stream uses.
 
     Parameters
     ----------
@@ -360,47 +326,37 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None,
         Subsequence length, ``2 <= m <= len(series)``.
     exclusion_radius : int, optional
         Trivial-match half-width; defaults to ``ceil(m/4)``.
-    znormalize : bool
-        Use z-normalized distances (default).  When False, plain Euclidean
-        distances are computed and the flat-subsequence conventions and the
-        ``2*sqrt(m)`` bound do not apply.
-    threads : int
-        Worker threads for chunk evaluation.
     """
     x = _as_samples(series)
     m = _validate_window(m, x.size)
-    r = default_exclusion_radius(m) if exclusion_radius is None else int(exclusion_radius)
-    if r < 0:
-        raise ValueError("exclusion radius must be >= 0")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    r = _validate_radius(exclusion_radius, m)
     n = x.size
     p = n - m + 1
 
     stats = rolling_stats(x, m)
-    flat = stats.stds == 0.0
-    any_flat = bool(flat.any())
-    sqsums = None
-    if not znormalize:
-        csq = np.concatenate(([0.0], np.cumsum(x * x)))
-        sqsums = csq[m:] - csq[:-m]
+    means, stds = stats.means, stats.stds
+    flat = stds == 0.0
+    if not flat.any():
+        flat = None
     qt_row0 = sliding_dot_products(x[:m], x)
 
     distances = np.full(p, np.inf)
     indices = np.full(p, SENTINEL_INDEX, dtype=np.int64)
-    bounds = [(lo, min(lo + _QT_CHUNK, p)) for lo in range(0, p, _QT_CHUNK)]
-
-    def run(chunk):
-        _profile_chunk(x, m, r, chunk[0], chunk[1], qt_row0, stats.means,
-                       stats.stds, flat, any_flat, sqsums, znormalize,
-                       distances, indices)
-
-    if threads == 1 or len(bounds) == 1:
-        for chunk in bounds:
-            run(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, bounds))
+    rho = np.empty(p)
+    tmp = np.empty(p)
+    qt = qt_row0.copy()
+    for i in range(p):
+        if i % _QT_CHUNK:
+            qt[1:] = qt[:-1] - x[:p - 1] * x[i - 1] + x[m:n] * x[i + m - 1]
+            qt[0] = qt_row0[i]
+        elif i:
+            qt = sliding_dot_products(x[i:i + m], x)
+        nearest_correlations(qt, means[i], stds[i], means, stds, flat, m, rho, tmp)
+        rho[max(0, i - r):min(p, i + r + 1)] = -np.inf
+        j = int(np.argmax(rho))
+        if rho[j] > -np.inf:
+            distances[i] = match_distance(x, m, i, j, float(rho[j]))
+            indices[i] = j
     return MatrixProfile(distances=distances, indices=indices, m=m)
 
 
@@ -414,9 +370,7 @@ def discords(profile: MatrixProfile, k: int, exclusion_radius: int | None = None
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    r = default_exclusion_radius(profile.m) if exclusion_radius is None else int(exclusion_radius)
-    if r < 0:
-        raise ValueError("exclusion radius must be >= 0")
+    r = _validate_radius(exclusion_radius, profile.m)
     d = profile.distances
     order = np.argsort(-d, kind="stable")
     picked: list[tuple[int, float]] = []

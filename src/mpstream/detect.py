@@ -177,7 +177,7 @@ class AnomalyDetector:
     underlying stream is warming up.
 
     Single-writer like the stream it wraps; independent detectors on
-    distinct channels can run on distinct threads freely.
+    distinct channels share no state and may run concurrently.
     """
 
     def __init__(self, m: int = 64, config: DetectorConfig | None = None,

