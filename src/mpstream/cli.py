@@ -162,9 +162,12 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
 
 def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
     times, values, labels = read_dataset(in_path)
-    detector = AnomalyDetector(m=cfg.window, config=cfg.detector_config(),
-                               capacity=cfg.capacity,
-                               exclusion_radius=cfg.exclusion_radius)
+    try:
+        detector = AnomalyDetector(m=cfg.window, config=cfg.detector_config(),
+                                   capacity=cfg.capacity,
+                                   exclusion_radius=cfg.exclusion_radius)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     events = []
     trace = []
     for x in values:

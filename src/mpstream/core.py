@@ -8,10 +8,11 @@ provided: :func:`matrix_profile_brute`, a direct all-pairs reference, and
 incremental sliding dot-product recurrence.  Both share the same degenerate
 conventions for zero-variance (flat) subsequences.
 
-:func:`nearest_correlations` and :func:`match_distance` are the distance
-kernel that :func:`matrix_profile` shares with the streaming left profile.
+:func:`correlation_scores`, :func:`correlation` and :func:`match_distance`
+are the distance kernel that :func:`matrix_profile` shares with the
+streaming left profile.
 
-Apart from the buffers :func:`nearest_correlations` fills, everything here
+Apart from the buffers :func:`correlation_scores` fills, everything here
 is a pure function of its inputs.
 """
 
@@ -32,7 +33,8 @@ __all__ = [
     "rolling_stats",
     "znorm_distance",
     "sliding_dot_products",
-    "nearest_correlations",
+    "correlation_scores",
+    "correlation",
     "match_distance",
     "matrix_profile_brute",
     "matrix_profile",
@@ -222,37 +224,42 @@ def _pair_distance(a: np.ndarray, b: np.ndarray, m: int) -> float:
     return math.sqrt(min(max(d2, 0.0), 4.0 * m))
 
 
-def nearest_correlations(qt, mu, sig, means, stds, flat, m, out, tmp):
-    """Pearson correlation of one subsequence against each candidate.
+def correlation_scores(qt, mu, sig, inv_stds, means_over_stds, m, out, tmp):
+    """Scores of every candidate against one subsequence; the nearest
+    neighbor is their argmax.
 
     ``qt[j]`` is the dot product of the subsequence (mean ``mu``, std
-    ``sig``) with candidate ``j`` (``means[j]``, ``stds[j]``).  ``out[j]``
-    receives the correlation clipped to [-1, 1]; the nearest neighbor is its
-    argmax, at z-normalized distance ``sqrt(2m(1 - out[j]))``.  The only
-    flat-window rule: flat against flat correlates fully (distance 0), flat
-    against non-flat not at all (sqrt(2m)).  ``flat`` masks the flat
-    candidates, or is None when there are none; ``tmp`` is scratch.
+    ``sig``) with candidate ``j``, whose ``1/std`` and ``mean/std`` are
+    cached in ``inv_stds[j]`` and ``means_over_stds[j]``; a flat candidate
+    caches 0 in both.  For a non-flat subsequence ``out[j]`` is
+    ``m * sig`` times the Pearson correlation, so a flat candidate scores 0
+    (uncorrelated) without any mask.  A flat subsequence scores 1 against
+    flat candidates and 0 against the rest.  :func:`correlation` gives the
+    winner's correlation under the same rules; ``tmp`` is scratch.
     """
     if sig == 0.0:
-        out.fill(0.0)
-        if flat is not None:
-            out[flat] = 1.0
-        return out
-    np.multiply(means, m * mu, out=out)
-    np.subtract(qt, out, out=out)
-    np.multiply(stds, m * sig, out=tmp)
-    if flat is not None:
-        tmp[flat] = 1.0
-    np.divide(out, tmp, out=out)
-    np.clip(out, -1.0, 1.0, out=out)
-    if flat is not None:
-        out[flat] = 0.0
-    return out
+        return np.equal(inv_stds, 0.0, out=out)
+    np.multiply(qt, inv_stds, out=out)
+    np.multiply(means_over_stds, m * mu, out=tmp)
+    return np.subtract(out, tmp, out=out)
+
+
+def correlation(qt_j, mu, sig, mean_j, std_j, m) -> float:
+    """Pearson correlation, clipped to [-1, 1], of a subsequence (mean
+    ``mu``, std ``sig``) with candidate ``j``, from their dot product
+    ``qt_j``.  The flat-window rule, as in :func:`correlation_scores`: flat
+    against flat correlates fully (distance 0), flat against non-flat not
+    at all (sqrt(2m)).
+    """
+    if sig == 0.0 or std_j == 0.0:
+        return 1.0 if sig == std_j else 0.0
+    rho = (float(qt_j) - float(mean_j) * (m * mu)) / (float(std_j) * (m * sig))
+    return min(max(rho, -1.0), 1.0)
 
 
 def match_distance(x: np.ndarray, m: int, i: int, j: int, rho: float) -> float:
     """Distance between subsequences ``i`` and ``j`` of ``x`` whose
-    correlation from :func:`nearest_correlations` is ``rho``.
+    correlation from :func:`correlation` is ``rho``.
 
     The dot-product identity loses absolute precision near zero, so matches
     correlated at least :data:`REFINE_RHO` are re-evaluated directly from
@@ -315,8 +322,10 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
     (indices up to distance ties).  ``qt[j]`` tracks dot(window_i, window_j)
     and is updated incrementally from row to row; every ``_QT_CHUNK`` rows
     it restarts from a fresh sliding dot product, which bounds recurrence
-    drift.  Each row is scored with :func:`nearest_correlations` and its
-    winner with :func:`match_distance`, the same kernel the stream uses.
+    drift.  Each row is scored with :func:`correlation_scores`, using 1/std
+    and mean/std cached once per call, and only its winner gets a
+    :func:`correlation` and a :func:`match_distance`: the same kernel the
+    stream uses.
 
     Parameters
     ----------
@@ -335,27 +344,38 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
 
     stats = rolling_stats(x, m)
     means, stds = stats.means, stats.stds
-    flat = stds == 0.0
-    if not flat.any():
-        flat = None
+    live = stds != 0.0
+    inv_stds = np.divide(1.0, stds, out=np.zeros(p), where=live)
+    means_over_stds = np.divide(means, stds, out=np.zeros(p), where=live)
     qt_row0 = sliding_dot_products(x[:m], x)
 
     distances = np.full(p, np.inf)
     indices = np.full(p, SENTINEL_INDEX, dtype=np.int64)
-    rho = np.empty(p)
+    score = np.empty(p)
     tmp = np.empty(p)
     qt = qt_row0.copy()
+    prev = np.empty(p)
+    # Row recurrence qt[j] <- prev[j-1] - x[j-1]*x[i-1] + x[j+m-1]*x[i+m-1],
+    # run in preallocated buffers; score and tmp double as its scratch.
+    x_old, x_new = x[:p - 1], x[m:n]
+    s_head, t_head = score[:p - 1], tmp[:p - 1]
     for i in range(p):
         if i % _QT_CHUNK:
-            qt[1:] = qt[:-1] - x[:p - 1] * x[i - 1] + x[m:n] * x[i + m - 1]
+            qt, prev = prev, qt
+            np.multiply(x_old, x[i - 1], out=s_head)
+            np.subtract(prev[:-1], s_head, out=s_head)
+            np.multiply(x_new, x[i + m - 1], out=t_head)
+            np.add(s_head, t_head, out=qt[1:])
             qt[0] = qt_row0[i]
         elif i:
-            qt = sliding_dot_products(x[i:i + m], x)
-        nearest_correlations(qt, means[i], stds[i], means, stds, flat, m, rho, tmp)
-        rho[max(0, i - r):min(p, i + r + 1)] = -np.inf
-        j = int(np.argmax(rho))
-        if rho[j] > -np.inf:
-            distances[i] = match_distance(x, m, i, j, float(rho[j]))
+            qt[:] = sliding_dot_products(x[i:i + m], x)
+        mu, sig = float(means[i]), float(stds[i])
+        correlation_scores(qt, mu, sig, inv_stds, means_over_stds, m, score, tmp)
+        score[max(0, i - r):min(p, i + r + 1)] = -np.inf
+        j = int(score.argmax())
+        if score[j] > -np.inf:
+            rho = correlation(qt[j], mu, sig, means[j], stds[j], m)
+            distances[i] = match_distance(x, m, i, j, rho)
             indices[i] = j
     return MatrixProfile(distances=distances, indices=indices, m=m)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpstream.core import default_exclusion_radius
 from mpstream.stream import StreamingProfile
 
 __all__ = [
@@ -184,8 +183,8 @@ class AnomalyDetector:
                  capacity: int = 8192, exclusion_radius: int | None = None):
         self.m = int(m)
         self.config = config if config is not None else DetectorConfig()
-        r = default_exclusion_radius(self.m) if exclusion_radius is None else int(exclusion_radius)
-        self.stream = StreamingProfile(self.m, capacity=capacity, exclusion_radius=r)
+        self.stream = StreamingProfile(self.m, capacity=capacity,
+                                       exclusion_radius=exclusion_radius)
         self.threshold: float | None = (
             self.config.threshold_value if self.config.threshold_mode == "fixed" else None)
         self.last_profile: float | None = None

@@ -23,8 +23,9 @@ from mpstream.core import (
     SENTINEL_INDEX,
     MatrixProfile,
     _validate_radius,
+    correlation,
+    correlation_scores,
     match_distance,
-    nearest_correlations,
 )
 
 __all__ = ["StreamingProfile"]
@@ -43,8 +44,10 @@ class StreamingProfile:
         Trivial-match half-width, default ``ceil(m/4)``.
 
     Appends score the newest subsequence with the batch profile's kernel
-    (:func:`~mpstream.core.nearest_correlations`,
-    :func:`~mpstream.core.match_distance`); older entries are left as they are.
+    (:func:`~mpstream.core.correlation_scores`,
+    :func:`~mpstream.core.correlation`, :func:`~mpstream.core.match_distance`),
+    using 1/std and mean/std cached once per subsequence when it arrives;
+    older entries are left as they are.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
@@ -69,6 +72,8 @@ class StreamingProfile:
         self._qt = np.empty(size)
         self._mu = np.empty(size)
         self._sig = np.empty(size)
+        self._isig = np.empty(size)  # 1/sig, 0 for a flat subsequence
+        self._mos = np.empty(size)   # mu/sig, 0 for a flat subsequence
         self._dist = np.empty(size)
         self._nn = np.empty(size, dtype=np.int64)
         self._t1 = np.empty(size)  # scratch: avoids per-append allocation
@@ -79,7 +84,6 @@ class StreamingProfile:
         self._s1 = 0.0           # running sum over the newest m samples
         self._s2 = 0.0           # running sum of squares
         self._equal_run = 0      # trailing run of bitwise-identical samples
-        self._n_flat = 0         # flat subsequences currently in window
 
     @property
     def count(self) -> int:
@@ -101,7 +105,8 @@ class StreamingProfile:
         self._buf[:keep] = self._buf[s:e]
         nsub = keep - m + 1
         if nsub > 0:
-            for arr in (self._qt, self._mu, self._sig, self._dist, self._nn):
+            for arr in (self._qt, self._mu, self._sig, self._isig, self._mos,
+                        self._dist, self._nn):
                 arr[:nsub] = arr[s:s + nsub]
         self._offset += s
         self._start = 0
@@ -129,8 +134,6 @@ class StreamingProfile:
         buf[self._end] = x
         self._end += 1
         if self._end - self._start > cap:
-            if self._sig[self._start] == 0.0:
-                self._n_flat -= 1
             self._start += 1
 
         count = self._offset + self._end
@@ -158,7 +161,10 @@ class StreamingProfile:
         self._mu[l] = mu
         self._sig[l] = sig
         if sig == 0.0:
-            self._n_flat += 1
+            self._isig[l] = self._mos[l] = 0.0
+        else:
+            self._isig[l] = 1.0 / sig
+            self._mos[l] = mu / sig
 
         # Dot products of the newest subsequence against every older one:
         # qt[j] <- qt_prev[j-1] - T[j-1]*T[l-1] + T[j+m-1]*x, then the first
@@ -174,8 +180,7 @@ class StreamingProfile:
             np.multiply(buf[start:l], buf[l - 1], out=t1)
             np.subtract(qt[start:l], t1, out=t1)
             np.multiply(buf[start + m:l + m], x, out=t2)
-            t1 += t2
-            qt[start + 1:l + 1] = t1
+            np.add(t1, t2, out=qt[start + 1:l + 1])
             qt[start] = float(np.dot(buf[start:start + m], buf[l:end]))
 
         hi = l - r  # candidates are buffer indices [start, hi)
@@ -188,13 +193,12 @@ class StreamingProfile:
         # value re-evaluated directly so every reported distance reproduces
         # from its neighbor to 1e-9 even on exactly repeating inputs.
         k = hi - start
-        sigs = self._sig[start:hi]
-        rho = nearest_correlations(qt[start:hi], mu, sig, self._mu[start:hi], sigs,
-                                   (sigs == 0.0) if self._n_flat else None, m,
-                                   self._t1[:k], self._t2[:k])
-        j_rel = int(np.argmax(rho))
-        d = match_distance(buf, m, l, start + j_rel, float(rho[j_rel]))
-        nn_abs = self._offset + start + j_rel
+        score = correlation_scores(qt[start:hi], mu, sig, self._isig[start:hi],
+                                   self._mos[start:hi], m, self._t1[:k], self._t2[:k])
+        j = start + int(score.argmax())
+        d = match_distance(buf, m, l, j,
+                           correlation(qt[j], mu, sig, self._mu[j], self._sig[j], m))
+        nn_abs = self._offset + j
         self._dist[l] = d
         self._nn[l] = nn_abs
         return d, int(nn_abs)
@@ -212,13 +216,14 @@ class StreamingProfile:
         buf = self._buf
         qd = np.correlate(buf[start:hi + m - 1], buf[o:o + m], mode="valid")
         k = hi - start
-        sigs = self._sig[start:hi]
-        rho = nearest_correlations(qd, self._mu[o], self._sig[o], self._mu[start:hi], sigs,
-                                   (sigs == 0.0) if self._n_flat else None, m,
-                                   self._t1[:k], self._t2[:k])
-        j_rel = int(np.argmax(rho))
-        self._dist[o] = match_distance(buf, m, o, start + j_rel, float(rho[j_rel]))
-        self._nn[o] = self._offset + start + j_rel
+        mu, sig = float(self._mu[o]), float(self._sig[o])
+        score = correlation_scores(qd, mu, sig, self._isig[start:hi], self._mos[start:hi],
+                                   m, self._t1[:k], self._t2[:k])
+        j_rel = int(score.argmax())
+        j = start + j_rel
+        rho = correlation(qd[j_rel], mu, sig, self._mu[j], self._sig[j], m)
+        self._dist[o] = match_distance(buf, m, o, j, rho)
+        self._nn[o] = self._offset + j
 
     def profile(self) -> MatrixProfile:
         """Snapshot of the left profile over the retained window.

@@ -110,6 +110,25 @@ class TestDetect:
         # The point outlier sits at sample 4000.
         assert abs(evs[0].position - 4000) < 64
 
+    @pytest.mark.parametrize("flags, overrides", [
+        (["--window", "1"], {}),
+        ([], {"capacity": 10}),
+        ([], {"exclusion_radius": -1}),
+        ([], {"window": "abc"}),
+    ], ids=["window-flag-1", "capacity-10", "negative-radius", "window-abc"])
+    def test_bad_stream_parameters_are_config_errors(self, tmp_path, capsys,
+                                                     flags, overrides):
+        small = {**SMALL, "duration_s": 0.2, "fault_start_s": 0.1,
+                 "fault_duration_s": 0.01}
+        data = tmp_path / "data.csv"
+        assert main(["generate", "--config", write_config(tmp_path, **small),
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, **{**small, **overrides})
+        assert main(["detect", "--config", cfg, *flags,
+                     "--out", str(tmp_path / "e.csv"), str(data)]) == 1
+        assert capsys.readouterr().err.startswith("mpstream: error: ")
+
 
 class TestEvaluate:
     def _pipeline(self, tmp_path, severity=1.0):

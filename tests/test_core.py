@@ -7,16 +7,19 @@ from mpstream.core import (
     REFINE_RHO,
     SENTINEL_INDEX,
     TimeSeries,
+    correlation,
+    correlation_scores,
     default_exclusion_radius,
     discords,
     match_distance,
     matrix_profile,
     matrix_profile_brute,
-    nearest_correlations,
     rolling_stats,
     sliding_dot_products,
     znorm_distance,
 )
+
+from mpstream.stream import StreamingProfile
 
 from oracles import (
     naive_left_profile,
@@ -139,49 +142,62 @@ class TestCorrelationKernel:
 
     @classmethod
     def window_stats(cls, x):
-        # Two-pass statistics, independent of rolling_stats.
+        # Two-pass statistics and caches, independent of rolling_stats.
         w = np.lib.stride_tricks.sliding_window_view(x, cls.M)
         flat = np.ptp(w, axis=1) == 0.0
         stds = np.where(flat, 0.0, w.std(axis=1))
-        return w, w.mean(axis=1), stds, flat
+        means = w.mean(axis=1)
+        safe = np.where(flat, 1.0, stds)
+        inv = np.where(flat, 0.0, 1.0 / safe)
+        mos = np.where(flat, 0.0, means / safe)
+        return w, means, stds, flat, inv, mos
 
     def test_all_flat_pairings_match_znorm_distance(self):
         m = self.M
         x = self.channel()
-        w, means, stds, flat = self.window_stats(x)
+        w, means, stds, flat, inv, mos = self.window_stats(x)
         p = means.size
-        rho, tmp = np.empty(p), np.empty(p)
+        score, tmp = np.empty(p), np.empty(p)
         seen = set()
         for i in range(p):
-            with np.errstate(all="raise"):  # flat candidates never divide by 0
-                nearest_correlations(sliding_dot_products(w[i], x), means[i], stds[i],
-                                     means, stds, flat, m, rho, tmp)
+            qt = sliding_dot_products(w[i], x)
+            with np.errstate(all="raise"):  # flat pairs never divide by 0
+                correlation_scores(qt, means[i], stds[i], inv, mos, m, score, tmp)
+                rho = np.array([correlation(qt[j], means[i], stds[i], means[j], stds[j], m)
+                                for j in range(p)])
             assert ((rho >= -1.0) & (rho <= 1.0)).all()
             d2 = 2.0 * m * (1.0 - rho)
             for j in range(p):
                 seen.add((bool(flat[i]), bool(flat[j])))
                 direct = znorm_distance(w[i], w[j])
                 if flat[i] and flat[j]:
-                    assert d2[j] == 0.0 and direct == 0.0
+                    assert d2[j] == 0.0 and direct == 0.0 and score[j] == 1.0
                 elif flat[i] or flat[j]:
                     assert math.sqrt(d2[j]) == direct == math.sqrt(2.0 * m)
+                    assert score[j] == 0.0
                 else:
                     assert d2[j] == pytest.approx(direct ** 2, abs=1e-8), (i, j)
+                    # The score is the correlation scaled by m * sigma_i.
+                    assert score[j] / (m * stds[i]) == pytest.approx(rho[j], abs=1e-8)
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
-    def test_no_flat_mask_when_no_candidate_is_flat(self):
-        m = self.M
+    def test_argmax_of_scores_is_the_nearest_neighbor(self):
+        # Flat candidates need no mask: the zero caches alone keep them from
+        # winning against a correlated non-flat candidate, and a flat query
+        # finds a flat candidate.
+        m, r = self.M, 2
         x = self.channel()
-        w, means, stds, flat = self.window_stats(x)
-        live = ~flat
-        i = int(np.flatnonzero(live)[3])
-        qt = sliding_dot_products(w[i], x)[live]
-        n = int(live.sum())
-        masked = nearest_correlations(qt, means[i], stds[i], means[live], stds[live],
-                                      np.zeros(n, dtype=bool), m, np.empty(n), np.empty(n))
-        unmasked = nearest_correlations(qt, means[i], stds[i], means[live], stds[live],
-                                        None, m, np.empty(n), np.empty(n))
-        assert np.array_equal(masked, unmasked)
+        w, means, stds, flat, inv, mos = self.window_stats(x)
+        p = means.size
+        score, tmp = np.empty(p), np.empty(p)
+        for i in range(p):
+            qt = sliding_dot_products(w[i], x)
+            correlation_scores(qt, means[i], stds[i], inv, mos, m, score, tmp)
+            score[max(0, i - r):i + r + 1] = -np.inf
+            j = int(score.argmax())
+            direct = [znorm_distance(w[i], w[k]) if abs(i - k) > r else np.inf
+                      for k in range(p)]
+            assert direct[j] == pytest.approx(min(direct), abs=1e-8), (i, j)
 
     def test_match_distance_refines_at_and_below_the_cut(self):
         m = 16
@@ -395,3 +411,25 @@ class TestStructuredSignals:
                 continue
             d = znorm_distance(x[i:i + 8], x[j:j + 8])
             assert abs(d - mp.distances[i]) <= 1e-9, i
+
+    def test_stream_self_consistency_on_exact_repeats(self):
+        # The stream's argmax picks among exactly tied neighbors too: every
+        # emitted value reproduces from its neighbor, which lies outside
+        # the exclusion zone.
+        r = rng(405)
+        m, radius = 8, 2
+        t = np.arange(600)
+        for x in (np.repeat(r.normal(size=75), 8),      # staircase
+                  np.sin(2 * np.pi * t / 25)):           # exactly periodic
+            sp = StreamingProfile(m, capacity=256, exclusion_radius=radius)
+            emitted = 0
+            for k, v in enumerate(x):
+                res = sp.append(v)
+                if res is None:
+                    continue
+                d, j = res
+                i = k - m + 1
+                assert k + 1 - 256 <= j <= i - radius - 1, (i, j)
+                assert abs(znorm_distance(x[i:i + m], x[j:j + m]) - d) <= 1e-9, (i, j)
+                emitted += 1
+            assert emitted == x.size - m - radius

@@ -233,8 +233,10 @@ class TestInvariants:
                 window = x[i + 1 - cap:i + 1]
                 nd, _ = naive_left_profile(window, m, r)
                 assert np.allclose(snap.distances, nd, atol=1e-9), i
-        # Plateau fully evicted: no flat mask remains, values stay correct.
-        assert sp._n_flat == 0
+        # Plateau fully evicted: no flat subsequence remains cached, values
+        # stay correct.
+        live = slice(sp._start, sp._end - m + 1)
+        assert (sp._isig[live] != 0.0).all() and (sp._sig[live] != 0.0).all()
         snap = sp.profile()
         window = x[len(x) - cap:]
         nd, _ = naive_left_profile(window, m, r)
@@ -260,3 +262,26 @@ class TestLongRunStress:
         valid = snap.indices != SENTINEL_INDEX
         assert (snap.indices[valid] >= 0).all()
         assert (snap.indices[valid] < len(snap)).all()
+
+    def test_every_append_across_compactions(self):
+        # Per-append output, not just the final snapshot: each value and
+        # neighbor must equal the left profile of the retained window while
+        # the buffer compacts (at samples 128, 192 and 256) with a flat
+        # plateau straddling the second compaction.
+        m, r, cap = 8, 2, 64
+        r_ = rng(139)
+        x = list(r_.normal(size=180)) + [0.75] * 24 + list(r_.normal(size=96))
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        checked = 0
+        for k, v in enumerate(x):
+            res = sp.append(v)
+            lo = max(0, k + 1 - cap)
+            nd, ni = naive_left_profile(x[lo:k + 1], m, r)
+            if res is None:
+                assert k < m - 1 or math.isinf(nd[-1])
+                continue
+            d, nn = res
+            assert d == pytest.approx(nd[-1], abs=1e-9), k
+            assert nn == lo + ni[-1], k
+            checked += 1
+        assert checked == len(x) - m - r
