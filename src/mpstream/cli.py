@@ -1,9 +1,14 @@
 """Command-line pipeline: generate, detect, evaluate, profile.
 
 Runs are driven by a flat JSON config document (every key optional, unknown
-keys rejected) plus a few overriding flags.  :func:`main` returns the exit
-code: 0 success, 1 usage or config error (including an unknown command or
-flag), 2 data error; ``--help`` exits 0.  Set
+keys rejected) plus a few overriding flags.  Each key is a field of
+:class:`RunConfig` or of one of its component configs
+(:class:`~mpstream.generate.GeneratorConfig`,
+:class:`~mpstream.generate.FourFaultLayout`,
+:class:`~mpstream.detect.DetectorConfig`), which holds its default and its
+validation.  :func:`main` returns the exit code: 0 success, 1 usage or
+config error (including an unknown command or flag, and a config value of
+the wrong JSON type), 2 data error; ``--help`` exits 0.  Set
 ``MPSTREAM_LOG=debug|info|warning`` to control diagnostics on stderr.
 """
 
@@ -14,72 +19,72 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 
-from mpstream.core import SENTINEL_INDEX, matrix_profile
+from mpstream.core import matrix_profile
 from mpstream.detect import AnomalyDetector, DetectorConfig, events_to_segments
 from mpstream.evaluate import (classification_metrics, metrics_table,
                                point_confusion, segment_score)
-from mpstream.generate import (DEFAULT_LAYOUT, FaultKind, FaultSpec,
-                               FourFaultLayout, GeneratorConfig,
-                               four_fault_dataset, generate_base, inject_fault)
+from mpstream.generate import (FaultKind, FaultSpec, FourFaultLayout,
+                               GeneratorConfig, four_fault_dataset,
+                               generate_base, inject_fault)
 from mpstream.io import (DataError, read_dataset, read_events, read_truth,
-                         write_dataset, write_events, write_profile_trace,
-                         write_report, write_truth)
+                         write_dataset, write_events, write_profile,
+                         write_profile_trace, write_report, write_truth)
 
 __all__ = ["main", "ConfigError", "RunConfig"]
 
 log = logging.getLogger("mpstream")
+
+# RunConfig field -> component config class whose fields are config keys.
+_PARTS = {"generator": GeneratorConfig, "layout": FourFaultLayout,
+          "detector": DetectorConfig}
+
+_JSON_TYPE_NAMES = {type(None): "null", bool: "boolean", int: "integer",
+                    float: "number", str: "string", list: "array", dict: "object"}
 
 
 class ConfigError(Exception):
     """Invalid configuration or usage."""
 
 
+def _check_type(key: str, value, annotation) -> None:
+    """Reject a JSON value that the field annotation does not admit.  A JSON
+    integer fits a float field; a boolean fits no numeric field."""
+    allowed = typing.get_args(annotation) or (annotation,)
+    if type(value) in allowed or (type(value) is int and float in allowed):
+        return
+    expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    raise ConfigError(f"config key {key!r}: expected {expected}, "
+                      f"got {_JSON_TYPE_NAMES[type(value)]}")
+
+
 @dataclass
 class RunConfig:
-    """Flat key-value run configuration; unknown keys are errors."""
+    """Flat key-value run configuration; unknown keys are errors.
 
-    # generator
-    sample_rate_hz: float = 5000.0
-    duration_s: float = 20.0
-    nominal_freq_hz: float = 50.0
-    noise_std: float = 0.005
-    ripple_amplitude_hz: float = 0.02
-    seed: int = 42
+    Declares only the keys the CLI itself uses; every other key is a field
+    of the component config in ``generator``, ``layout`` or ``detector``.
+    """
+
     # dataset selection: "four_fault" or a single fault kind name
     dataset: str = "four_fault"
     fault_start_s: float = 2.0
     fault_duration_s: float = 0.05
     severity: float = 1.0
-    # four-fault layout overrides
-    ll_start_s: float = DEFAULT_LAYOUT.ll_start_s
-    ll_duration_s: float = DEFAULT_LAYOUT.ll_duration_s
-    sensor_start_s: float = DEFAULT_LAYOUT.sensor_start_s
-    sensor_duration_s: float = DEFAULT_LAYOUT.sensor_duration_s
-    sag_start_s: float = DEFAULT_LAYOUT.sag_start_s
-    sag_duration_s: float = DEFAULT_LAYOUT.sag_duration_s
-    grid_start_s: float = DEFAULT_LAYOUT.grid_start_s
-    grid_duration_s: float = DEFAULT_LAYOUT.grid_duration_s
     # profile / stream
     window: int = 64
     exclusion_radius: int | None = None
     capacity: int = 8192
-    # detector
-    threshold_mode: str = "quantile"
-    threshold_value: float | None = None
-    quantile_q: float = 0.999
-    calibration_len: int = 2000
-    enter_ratio: float = 1.0
-    exit_ratio: float = 0.9
-    min_event_len: int = 3
-    cooldown: int = 64
-    warmup: int = 2000
     # default paths (flags take precedence)
     input: str | None = None
     out: str | None = None
+    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
+    layout: FourFaultLayout = field(default_factory=FourFaultLayout)
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":
@@ -94,38 +99,24 @@ class RunConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} must be a flat JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
+        routes = {}  # key -> (RunConfig field it goes to or None, annotation)
+        for part, owner in ((None, cls), *_PARTS.items()):
+            hints = typing.get_type_hints(owner)
+            routes.update((f.name, (part, hints[f.name]))
+                          for f in fields(owner) if f.name not in _PARTS)
+        unknown = sorted(set(doc) - set(routes))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**doc)
-
-    def generator_config(self) -> GeneratorConfig:
+        kwargs = {part: {} for part in (None, *_PARTS)}
+        for key, value in doc.items():
+            part, annotation = routes[key]
+            _check_type(key, value, annotation)
+            kwargs[part][key] = value
         try:
-            return GeneratorConfig(
-                sample_rate_hz=self.sample_rate_hz, duration_s=self.duration_s,
-                nominal_freq_hz=self.nominal_freq_hz, noise_std=self.noise_std,
-                ripple_amplitude_hz=self.ripple_amplitude_hz, seed=self.seed)
+            parts = {part: owner(**kwargs[part]) for part, owner in _PARTS.items()}
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def layout(self) -> FourFaultLayout:
-        return FourFaultLayout(
-            ll_start_s=self.ll_start_s, ll_duration_s=self.ll_duration_s,
-            sensor_start_s=self.sensor_start_s, sensor_duration_s=self.sensor_duration_s,
-            sag_start_s=self.sag_start_s, sag_duration_s=self.sag_duration_s,
-            grid_start_s=self.grid_start_s, grid_duration_s=self.grid_duration_s)
-
-    def detector_config(self) -> DetectorConfig:
-        try:
-            return DetectorConfig(
-                threshold_mode=self.threshold_mode, threshold_value=self.threshold_value,
-                quantile_q=self.quantile_q, calibration_len=self.calibration_len,
-                enter_ratio=self.enter_ratio, exit_ratio=self.exit_ratio,
-                min_event_len=self.min_event_len, cooldown=self.cooldown,
-                warmup=self.warmup)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**kwargs[None], **parts)
 
 
 def _sidecar(path: Path, suffix: str) -> Path:
@@ -135,7 +126,7 @@ def _sidecar(path: Path, suffix: str) -> Path:
 def cmd_generate(cfg: RunConfig, out: Path) -> int:
     try:
         if cfg.dataset == "four_fault":
-            dataset = four_fault_dataset(cfg.generator_config(), cfg.layout(),
+            dataset = four_fault_dataset(cfg.generator, cfg.layout,
                                          severity=cfg.severity)
         else:
             try:
@@ -144,10 +135,10 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
                 names = ", ".join(k.value for k in FaultKind)
                 raise ConfigError(
                     f"unknown dataset {cfg.dataset!r}; expected four_fault or one of {names}")
-            base = generate_base(cfg.generator_config())
+            base = generate_base(cfg.generator)
             spec = FaultSpec(kind, cfg.fault_start_s, cfg.fault_duration_s,
                              severity=cfg.severity)
-            dataset = inject_fault(base, spec, cfg.generator_config(), seed=cfg.seed)
+            dataset = inject_fault(base, spec, cfg.generator, seed=cfg.generator.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     truth_path = _sidecar(out, ".truth.csv")
@@ -163,7 +154,7 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
 def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
     times, values, labels = read_dataset(in_path)
     try:
-        detector = AnomalyDetector(m=cfg.window, config=cfg.detector_config(),
+        detector = AnomalyDetector(m=cfg.window, config=cfg.detector,
                                    capacity=cfg.capacity,
                                    exclusion_radius=cfg.exclusion_radius)
     except ValueError as exc:
@@ -236,13 +227,7 @@ def cmd_profile(cfg: RunConfig, in_path: Path, out: Path) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("position,distance,index\n")
-            for i in range(len(mp)):
-                if mp.indices[i] == SENTINEL_INDEX:
-                    fh.write(f"{i},,\n")
-                else:
-                    fh.write(f"{i},{format(mp.distances[i], '.9g')},{mp.indices[i]}\n")
+        write_profile(out, mp)
     except OSError as exc:
         raise DataError(f"cannot write output: {exc}") from exc
     log.info("wrote profile of %d subsequences to %s", len(mp), out)
@@ -306,7 +291,7 @@ def main(argv=None) -> int:
                                 args.length, out)
         cfg = RunConfig.load(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.generator = replace(cfg.generator, seed=args.seed)
         if args.window is not None:
             cfg.window = args.window
         if args.command == "generate":

@@ -66,16 +66,15 @@ class AnomalySegment:
 class DetectorConfig:
     """Tunables of the detection filter chain.
 
-    ``threshold_mode`` is ``"quantile"`` or ``"fixed"`` (use
-    ``threshold_value`` directly).  The first ``warmup`` samples are ignored
-    outright; this hides the stream's own warm-up transient, where the
-    window holds few candidate subsequences and even normal profile values
-    run high.  In quantile mode the next ``calibration_len`` profile values
-    are then collected to calibrate the threshold, and detection begins once
-    calibration completes.
+    A finite ``threshold_value`` is used as the threshold directly; None
+    (the default) calibrates it as the ``quantile_q`` quantile of profile
+    values.  The first ``warmup`` samples are ignored outright; this hides
+    the stream's own warm-up transient, where the window holds few candidate
+    subsequences and even normal profile values run high.  When calibrating,
+    the next ``calibration_len`` profile values are then collected, and
+    detection begins once calibration completes.
     """
 
-    threshold_mode: str = "quantile"
     threshold_value: float | None = None
     quantile_q: float = 0.999
     calibration_len: int = 2000
@@ -86,11 +85,8 @@ class DetectorConfig:
     warmup: int = 2000
 
     def __post_init__(self):
-        if self.threshold_mode not in ("quantile", "fixed"):
-            raise ValueError(f"unknown threshold_mode {self.threshold_mode!r}")
-        if self.threshold_mode == "fixed":
-            if self.threshold_value is None or not math.isfinite(self.threshold_value):
-                raise ValueError("fixed threshold_mode requires a finite threshold_value")
+        if self.threshold_value is not None and not math.isfinite(self.threshold_value):
+            raise ValueError("threshold_value must be finite, or None to calibrate")
         if not 0.0 < self.quantile_q < 1.0:
             raise ValueError("quantile_q must lie in (0, 1)")
         if self.calibration_len < 1:
@@ -139,32 +135,27 @@ class FilterChain:
         self._cooldown_until = -1
 
     def push(self, position: int, value: float, sample_index: int) -> list[DetectionEvent]:
-        events: list[DetectionEvent] = []
-        if not self.in_anomaly:
-            # During cooldown above-threshold values do not accumulate.
-            if value > self.enter_level and sample_index >= self._cooldown_until:
-                if self._run == 0:
-                    self._run_start = position
-                self._run += 1
-                if self._run >= self.min_event_len:
-                    events.append(DetectionEvent(EventKind.START, self._run_start, float(value)))
-                    self.in_anomaly = True
-                    self._run = 0
-            else:
-                self._run = 0
+        if self.in_anomaly:
+            qualifies = value < self.exit_level
         else:
-            if value < self.exit_level:
-                if self._run == 0:
-                    self._run_start = position
-                self._run += 1
-                if self._run >= self.min_event_len:
-                    events.append(DetectionEvent(EventKind.END, self._run_start, float(value)))
-                    self.in_anomaly = False
-                    self._run = 0
-                    self._cooldown_until = sample_index + self.cooldown
-            else:
-                self._run = 0
-        return events
+            # During cooldown above-threshold values do not accumulate.
+            qualifies = value > self.enter_level and sample_index >= self._cooldown_until
+        if not qualifies:
+            self._run = 0
+            return []
+        if self._run == 0:
+            self._run_start = position
+        self._run += 1
+        if self._run < self.min_event_len:
+            return []
+        self._run = 0
+        self.in_anomaly = not self.in_anomaly
+        if self.in_anomaly:
+            kind = EventKind.START
+        else:
+            kind = EventKind.END
+            self._cooldown_until = sample_index + self.cooldown
+        return [DetectionEvent(kind, self._run_start, float(value))]
 
 
 class AnomalyDetector:
@@ -185,13 +176,11 @@ class AnomalyDetector:
         self.config = config if config is not None else DetectorConfig()
         self.stream = StreamingProfile(self.m, capacity=capacity,
                                        exclusion_radius=exclusion_radius)
-        self.threshold: float | None = (
-            self.config.threshold_value if self.config.threshold_mode == "fixed" else None)
+        self.threshold: float | None = self.config.threshold_value
         self.last_profile: float | None = None
         self._calibration: list[float] = []
-        self._chain: FilterChain | None = None
-        if self.config.threshold_mode == "fixed":
-            self._chain = self._make_chain(self.threshold)
+        self._chain: FilterChain | None = (
+            None if self.threshold is None else self._make_chain(self.threshold))
 
     def _make_chain(self, threshold: float) -> FilterChain:
         c = self.config
@@ -214,8 +203,8 @@ class AnomalyDetector:
             return []
 
         if self.threshold is None:
-            # Quantile mode: consume post-warmup values as calibration until
-            # enough are collected, then detect from the next value on.
+            # No fixed threshold: consume post-warmup values as calibration
+            # until enough are collected, then detect from the next value on.
             self._calibration.append(value)
             if len(self._calibration) >= self.config.calibration_len:
                 self.threshold = calibrate_threshold(self._calibration,

@@ -11,6 +11,8 @@ digits so outputs are byte-reproducible):
   profile field is empty while the stream warms up.
 * report:         ``fault,accuracy,precision,recall,f_score`` — undefined
   metrics serialize as empty fields.
+* batch profile:  ``position,distance,index`` — distance and index empty
+  where a subsequence has no valid neighbor.
 
 Every reader accepts its writer's output and reports malformed rows by file
 line number.
@@ -22,6 +24,7 @@ import csv
 
 import numpy as np
 
+from mpstream.core import SENTINEL_INDEX, MatrixProfile
 from mpstream.detect import AnomalySegment, DetectionEvent, EventKind
 from mpstream.evaluate import Metrics
 from mpstream.generate import LabeledDataset
@@ -37,6 +40,7 @@ __all__ = [
     "write_profile_trace",
     "write_report",
     "read_report",
+    "write_profile",
 ]
 
 DATASET_HEADER = ["t_s", "f_c_hz", "label"]
@@ -44,6 +48,7 @@ TRUTH_HEADER = ["start_idx", "end_idx", "label"]
 EVENTS_HEADER = ["kind", "position", "profile_value"]
 PROFILE_HEADER = ["t_s", "f_c_hz", "label", "profile_value"]
 REPORT_HEADER = ["fault", "accuracy", "precision", "recall", "f_score"]
+BATCH_PROFILE_HEADER = ["position", "distance", "index"]
 
 
 class DataError(Exception):
@@ -62,9 +67,21 @@ def _writer(fh):
     return csv.writer(fh, lineterminator="\n")
 
 
-def _check_header(row, expected, path):
-    if row != expected:
-        raise DataError(f"{path}: line 1: expected header {','.join(expected)}")
+def _rows(path, header):
+    """Yield ``(line number, fields)`` for each data row of a CSV that must
+    open with ``header`` and give every row as many fields."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        if first != header:
+            raise DataError(f"{path}: line 1: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {lineno}: "
+                                f"expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
 
 
 def _sample_labels(dataset: LabeledDataset) -> list[str]:
@@ -89,21 +106,13 @@ def write_dataset(path, dataset: LabeledDataset) -> None:
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Returns (times_s, values, labels)."""
     times, values, labels = [], [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, (t, x, label) in _rows(path, DATASET_HEADER):
         try:
-            _check_header(next(reader), DATASET_HEADER, path)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: malformed number") from None
-            labels.append(row[2])
+            times.append(float(t))
+            values.append(float(x))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: malformed number") from None
+        labels.append(label)
     return np.asarray(times), np.asarray(values), labels
 
 
@@ -117,23 +126,15 @@ def write_truth(path, truth) -> None:
 
 def read_truth(path) -> list[AnomalySegment]:
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, (start, end, label) in _rows(path, TRUTH_HEADER):
         try:
-            _check_header(next(reader), TRUTH_HEADER, path)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                start, end = int(row[0]), int(row[1])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: malformed index") from None
-            try:
-                out.append(AnomalySegment(start, end, row[2] or None))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
+            start, end = int(start), int(end)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: malformed index") from None
+        try:
+            out.append(AnomalySegment(start, end, label or None))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
     return out
 
 
@@ -147,20 +148,11 @@ def write_events(path, events) -> None:
 
 def read_events(path) -> list[DetectionEvent]:
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, (kind, position, value) in _rows(path, EVENTS_HEADER):
         try:
-            _check_header(next(reader), EVENTS_HEADER, path)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                kind = EventKind(row[0])
-                out.append(DetectionEvent(kind, int(row[1]), float(row[2])))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: malformed event") from None
+            out.append(DetectionEvent(EventKind(kind), int(position), float(value)))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: malformed event") from None
     return out
 
 
@@ -171,6 +163,15 @@ def write_profile_trace(path, times, values, labels, profile_values) -> None:
         w.writerow(PROFILE_HEADER)
         for t, x, lab, pv in zip(times, values, labels, profile_values):
             w.writerow([_fmt(t), _fmt(x), lab, "" if pv is None else _fmt(pv)])
+
+
+def write_profile(path, mp: MatrixProfile) -> None:
+    """Batch profile, one row per subsequence position."""
+    with _open_write(path) as fh:
+        w = _writer(fh)
+        w.writerow(BATCH_PROFILE_HEADER)
+        for i, (d, j) in enumerate(zip(mp.distances, mp.indices)):
+            w.writerow([i, "", ""] if j == SENTINEL_INDEX else [i, _fmt(d), j])
 
 
 def write_report(path, rows: list[tuple[str, Metrics]]) -> None:
@@ -184,20 +185,12 @@ def write_report(path, rows: list[tuple[str, Metrics]]) -> None:
 
 def read_report(path) -> list[tuple[str, Metrics]]:
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, (name, *metrics) in _rows(path, REPORT_HEADER):
         try:
-            _check_header(next(reader), REPORT_HEADER, path)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise DataError(f"{path}: line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                vals = [None if v == "" else float(v) for v in row[1:]]
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: malformed metric") from None
-            if vals[0] is None:
-                raise DataError(f"{path}: line {lineno}: accuracy must be present")
-            out.append((row[0], Metrics(*vals)))
+            vals = [None if v == "" else float(v) for v in metrics]
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: malformed metric") from None
+        if vals[0] is None:
+            raise DataError(f"{path}: line {lineno}: accuracy must be present")
+        out.append((name, Metrics(*vals)))
     return out

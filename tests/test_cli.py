@@ -1,9 +1,13 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from mpstream.cli import main
-from mpstream.io import read_events, read_truth
+from mpstream.cli import ConfigError, RunConfig, main
+from mpstream.detect import DetectorConfig, FilterChain
+from mpstream.generate import DEFAULT_LAYOUT, FourFaultLayout, GeneratorConfig
+from mpstream.io import read_dataset, read_events, read_truth
+from mpstream.stream import StreamingProfile
 
 
 def write_config(tmp_path, **kw):
@@ -128,6 +132,33 @@ class TestDetect:
         assert main(["detect", "--config", cfg, *flags,
                      "--out", str(tmp_path / "e.csv"), str(data)]) == 1
         assert capsys.readouterr().err.startswith("mpstream: error: ")
+
+    def test_threshold_value_alone_fixes_the_threshold(self, tmp_path):
+        # A finite threshold_value is used as is, from the end of warm-up
+        # on: a threshold near the spike's peak delays the start to 3955,
+        # where a calibrated threshold starts at 3937.
+        threshold = 9.45
+        data = tmp_path / "data.csv"
+        events = tmp_path / "events.csv"
+        assert main(["generate", "--config", write_config(tmp_path, **SMALL),
+                     "--out", str(data)]) == 0
+        assert main(["detect", "--config",
+                     write_config(tmp_path, threshold_value=threshold),
+                     "--out", str(events), str(data)]) == 0
+        # Reference: the stream and chain driven by hand at the defaults.
+        d = DetectorConfig()
+        stream = StreamingProfile(RunConfig.window, capacity=RunConfig.capacity)
+        chain = FilterChain(threshold, d.enter_ratio, d.exit_ratio,
+                            d.min_event_len, d.cooldown)
+        want = []
+        for i, x in enumerate(read_dataset(data)[1]):
+            result = stream.append(float(x))
+            if result is not None and i >= d.warmup:
+                want += chain.push(i - RunConfig.window + 1, result[0], i)
+        got = read_events(events)
+        assert [(e.kind, e.position) for e in got] == \
+               [(e.kind, e.position) for e in want]
+        assert [e.position for e in got] == [3955, 4001]
 
 
 class TestEvaluate:
@@ -281,3 +312,96 @@ class TestConfigLoader:
 
     def test_missing_input_everywhere_is_config_error(self, tmp_path):
         assert main(["detect"]) == 1
+
+
+# One non-default valid value for every field of the component configs.
+PART_VALUES = dict(
+    sample_rate_hz=4000.0, duration_s=3.0, nominal_freq_hz=60.0,
+    noise_std=0.01, ripple_amplitude_hz=0.03, seed=7,
+    ll_start_s=3.0, ll_duration_s=0.02, sensor_start_s=7.0,
+    sensor_duration_s=0.02, sag_start_s=11.0, sag_duration_s=0.03,
+    grid_start_s=15.0, grid_duration_s=0.2,
+    threshold_value=0.5, quantile_q=0.99, calibration_len=500,
+    enter_ratio=1.5, exit_ratio=0.8, min_event_len=5, cooldown=10, warmup=100)
+# ... and for every key RunConfig declares itself.
+OWN_VALUES = dict(
+    dataset="point_outlier", fault_start_s=1.0, fault_duration_s=0.1,
+    severity=0.5, window=32, exclusion_radius=4, capacity=1024,
+    input="in.csv", out="out.csv")
+PARTS = {"generator": GeneratorConfig, "layout": FourFaultLayout,
+         "detector": DetectorConfig}
+
+
+MISTYPED = [
+    ("generate", "duration_s", "x", "expected float, got string"),
+    ("generate", "seed", "abc", "expected int, got string"),
+    ("generate", "severity", None, "expected float, got null"),
+    ("generate", "ll_start_s", "4", "expected float, got string"),
+    ("detect", "window", None, "expected int, got null"),
+    ("detect", "cooldown", "x", "expected int, got string"),
+    ("detect", "quantile_q", "0.9", "expected float, got string"),
+    ("detect", "capacity", [1], "expected int, got array"),
+    ("detect", "warmup", None, "expected int, got null"),
+    ("detect", "threshold_value", "3", "expected float or null, got string"),
+    ("detect", "min_event_len", True, "expected int, got boolean"),
+    ("detect", "window", 32.0, "expected int, got number"),
+    ("profile", "window", None, "expected int, got null"),
+]
+
+
+class TestConfigRouting:
+    @pytest.mark.parametrize("part, key", [
+        (part, f.name) for part, cls in PARTS.items() for f in fields(cls)])
+    def test_each_component_key_reaches_its_config(self, tmp_path, part, key):
+        value = PART_VALUES[key]
+        assert getattr(PARTS[part](), key) != value
+        cfg = RunConfig.load(write_config(tmp_path, **{key: value}))
+        assert getattr(cfg, part) == PARTS[part](**{key: value})
+
+    def test_no_config_gives_the_component_defaults(self):
+        cfg = RunConfig.load(None)
+        assert cfg.generator == GeneratorConfig()
+        assert cfg.layout == DEFAULT_LAYOUT
+        assert cfg.detector == DetectorConfig()
+
+    def test_accepted_keys(self, tmp_path):
+        # Every key of the flat format, and only those: the names of the
+        # component configs are not keys.
+        assert set(OWN_VALUES) | set(PART_VALUES) == {
+            "sample_rate_hz", "duration_s", "nominal_freq_hz", "noise_std",
+            "ripple_amplitude_hz", "seed", "dataset", "fault_start_s",
+            "fault_duration_s", "severity", "ll_start_s", "ll_duration_s",
+            "sensor_start_s", "sensor_duration_s", "sag_start_s",
+            "sag_duration_s", "grid_start_s", "grid_duration_s", "window",
+            "exclusion_radius", "capacity", "threshold_value", "quantile_q",
+            "calibration_len", "enter_ratio", "exit_ratio", "min_event_len",
+            "cooldown", "warmup", "input", "out"}
+        cfg = RunConfig.load(write_config(tmp_path, **OWN_VALUES, **PART_VALUES))
+        for key, value in OWN_VALUES.items():
+            assert getattr(cfg, key) == value
+        for part, cls in PARTS.items():
+            assert getattr(cfg, part) == cls(**{
+                f.name: PART_VALUES[f.name] for f in fields(cls)})
+        for key in PARTS:
+            with pytest.raises(ConfigError, match=f"unknown config keys: {key}$"):
+                RunConfig.load(write_config(tmp_path, **{key: "fixed"}))
+
+    @pytest.mark.parametrize("command, key, value, message", MISTYPED, ids=[
+        f"{command}-{key}-{json.dumps(value)}" for command, key, value, _ in MISTYPED])
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys,
+                                             command, key, value, message):
+        small = {**SMALL, "duration_s": 0.2, "fault_start_s": 0.1,
+                 "fault_duration_s": 0.01}
+        data = tmp_path / "data.csv"
+        assert main(["generate", "--config", write_config(tmp_path, **small),
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, **{**small, key: value})
+        args = [command, "--config", cfg, "--out", str(tmp_path / "o.csv")]
+        assert main(args + ([] if command == "generate" else [str(data)])) == 1
+        assert capsys.readouterr().err == \
+            f"mpstream: error: config key {key!r}: {message}\n"
+
+    def test_json_integer_fits_a_float_key(self, tmp_path):
+        cfg = RunConfig.load(write_config(tmp_path, duration_s=3, severity=1))
+        assert cfg.generator.duration_s == 3 and cfg.severity == 1

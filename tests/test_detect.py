@@ -36,13 +36,13 @@ class TestDetectorConfig:
             DetectorConfig(quantile_q=1.0)
 
     def test_fixed_requires_value(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(threshold_mode="fixed")
-        DetectorConfig(threshold_mode="fixed", threshold_value=3.0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(threshold_mode="adaptive")
+        # A fixed threshold must be finite; None calibrates one instead.
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                DetectorConfig(threshold_value=bad)
+        assert AnomalyDetector(config=DetectorConfig()).threshold is None
+        det = AnomalyDetector(config=DetectorConfig(threshold_value=3.0))
+        assert det.threshold == 3.0
 
 
 class TestCalibrateThreshold:
@@ -214,7 +214,7 @@ class TestAnomalyDetector:
         normal = [d for p, d in acted if not (250 - 2 * m <= p <= 250 + m)]
         assert min(spike_core) > max(normal)
         thr = (max(normal) + min(spike_core)) / 2
-        cfg = DetectorConfig(threshold_mode="fixed", threshold_value=thr,
+        cfg = DetectorConfig(threshold_value=thr,
                              min_event_len=1, cooldown=0, warmup=warmup)
         det = AnomalyDetector(m=m, config=cfg, capacity=1024, exclusion_radius=r)
         events = det.process(x)
@@ -234,7 +234,7 @@ class TestAnomalyDetector:
     def test_positions_are_subsequence_starts(self):
         m = 16
         x = sine_with_spike()
-        cfg = DetectorConfig(threshold_mode="fixed", threshold_value=3.0,
+        cfg = DetectorConfig(threshold_value=3.0,
                              min_event_len=1, cooldown=0, warmup=30)
         det = AnomalyDetector(m=m, config=cfg, capacity=1024, exclusion_radius=4)
         seen = []
@@ -268,7 +268,7 @@ class TestAnomalyDetector:
 
     def test_warmup_emits_nothing_fixed_mode(self):
         x = sine_with_spike(n=300, spike_at=100)
-        cfg = DetectorConfig(threshold_mode="fixed", threshold_value=0.01,
+        cfg = DetectorConfig(threshold_value=0.01,
                              min_event_len=1, cooldown=0, warmup=150)
         det = AnomalyDetector(m=16, config=cfg, capacity=512, exclusion_radius=4)
         events = []

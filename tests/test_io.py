@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpstream.core import SENTINEL_INDEX, MatrixProfile
 from mpstream.detect import AnomalySegment, DetectionEvent, EventKind
 from mpstream.evaluate import Metrics
 from mpstream.generate import GeneratorConfig, FaultKind, FaultSpec, generate_base, inject_fault
@@ -12,6 +13,7 @@ from mpstream.io import (
     read_truth,
     write_dataset,
     write_events,
+    write_profile,
     write_profile_trace,
     write_report,
     write_truth,
@@ -100,6 +102,16 @@ class TestProfileTrace:
         assert lines[0] == "t_s,f_c_hz,label,profile_value"
         assert lines[1] == "0,50,,"
         assert lines[2] == "0.5,50.1,x,2.5"
+
+
+class TestBatchProfile:
+    def test_no_neighbor_fields_empty(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        mp = MatrixProfile(np.array([np.inf, 0.1234567891234, 2.0]),
+                           np.array([SENTINEL_INDEX, 2, 1]), m=4)
+        write_profile(path, mp)
+        assert path.read_text() == ("position,distance,index\n"
+                                    "0,,\n1,0.123456789,2\n2,2,1\n")
 
 
 class TestReportRoundTrip:
