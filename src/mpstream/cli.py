@@ -199,23 +199,31 @@ def cmd_evaluate(pred_path: Path, truth_path: Path, n: int,
                             f"stream length {n}")
 
     report = segment_score(pred, truth)
-    print(f"{report.detected}/{len(truth)} segments detected, "
-          f"{report.false_segments} false segments")
-    for m in report.matches:
-        label = truth[m.truth_index].label or f"segment {m.truth_index}"
-        print(f"  {label}: start_latency={m.start_latency:+d} "
-              f"end_latency={m.end_latency:+d}")
-
     rows = []
     for seg in truth:
         name = seg.label or f"segment {seg.start}"
         overlapping = [p for p in pred if p.start < seg.end and p.end > seg.start]
         rows.append((name, point_confusion(overlapping, [seg], n)))
-    print()
-    print(metrics_table(rows))
-    if out is not None:
-        write_report(out, [(name, classification_metrics(c)) for name, c in rows])
-        log.info("wrote report to %s", out)
+    try:
+        print(f"{report.detected}/{len(truth)} segments detected, "
+              f"{report.false_segments} false segments")
+        for m in report.matches:
+            label = truth[m.truth_index].label or f"segment {m.truth_index}"
+            print(f"  {label}: start_latency={m.start_latency:+d} "
+                  f"end_latency={m.end_latency:+d}")
+        print()
+        print(metrics_table(rows))
+        sys.stdout.flush()
+        if out is not None:
+            write_report(out, [(name, classification_metrics(c)) for name, c in rows])
+            log.info("wrote report to %s", out)
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader is gone: send what is left of stdout to devnull so
+            # the flush at interpreter exit cannot fail again (see the
+            # SIGPIPE note in the documentation of Python's signal module).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise DataError(f"cannot write output: {exc}") from exc
     return 0
 
 

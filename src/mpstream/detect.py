@@ -117,29 +117,32 @@ def calibrate_threshold(values, q: float) -> float:
 class FilterChain:
     """Hysteresis + debounce + cooldown state machine over profile values.
 
-    Consumes ``(position, value, sample_index)`` triples in order and emits
+    Applies the ``enter_ratio``, ``exit_ratio``, ``min_event_len`` and
+    ``cooldown`` of a :class:`DetectorConfig` to ``threshold``.  Consumes
+    ``(position, value)`` pairs in increasing position order and emits
     strictly alternating start/end events.  Stateless with respect to the
     profile source, so it can be driven directly in tests.
     """
 
-    def __init__(self, threshold: float, enter_ratio: float = 1.0,
-                 exit_ratio: float = 0.9, min_event_len: int = 3,
-                 cooldown: int = 0):
-        self.enter_level = threshold * enter_ratio
-        self.exit_level = threshold * exit_ratio
-        self.min_event_len = int(min_event_len)
-        self.cooldown = int(cooldown)
+    def __init__(self, threshold: float, config: DetectorConfig):
+        self.enter_level = threshold * config.enter_ratio
+        self.exit_level = threshold * config.exit_ratio
+        self.min_event_len = config.min_event_len
+        self.cooldown = config.cooldown
         self.in_anomaly = False
         self._run = 0
         self._run_start = 0
         self._cooldown_until = -1
 
-    def push(self, position: int, value: float, sample_index: int) -> list[DetectionEvent]:
+    def push(self, position: int, value: float) -> list[DetectionEvent]:
+        """Feed the profile value of the subsequence starting at
+        ``position``; returns the event it completes, if any.  After an
+        end, starts are held off for ``cooldown`` positions."""
         if self.in_anomaly:
             qualifies = value < self.exit_level
         else:
             # During cooldown above-threshold values do not accumulate.
-            qualifies = value > self.enter_level and sample_index >= self._cooldown_until
+            qualifies = value > self.enter_level and position >= self._cooldown_until
         if not qualifies:
             self._run = 0
             return []
@@ -154,7 +157,7 @@ class FilterChain:
             kind = EventKind.START
         else:
             kind = EventKind.END
-            self._cooldown_until = sample_index + self.cooldown
+            self._cooldown_until = position + self.cooldown
         return [DetectionEvent(kind, self._run_start, float(value))]
 
 
@@ -180,14 +183,7 @@ class AnomalyDetector:
         self.last_profile: float | None = None
         self._calibration: list[float] = []
         self._chain: FilterChain | None = (
-            None if self.threshold is None else self._make_chain(self.threshold))
-
-    def _make_chain(self, threshold: float) -> FilterChain:
-        c = self.config
-        return FilterChain(threshold, enter_ratio=c.enter_ratio,
-                           exit_ratio=c.exit_ratio,
-                           min_event_len=c.min_event_len,
-                           cooldown=c.cooldown)
+            None if self.threshold is None else FilterChain(self.threshold, self.config))
 
     def step(self, sample: float) -> list[DetectionEvent]:
         """Ingest one sample and return any events it produced."""
@@ -209,11 +205,10 @@ class AnomalyDetector:
             if len(self._calibration) >= self.config.calibration_len:
                 self.threshold = calibrate_threshold(self._calibration,
                                                      self.config.quantile_q)
-                self._chain = self._make_chain(self.threshold)
+                self._chain = FilterChain(self.threshold, self.config)
                 self._calibration = []
             return []
-        position = sample_index - self.m + 1
-        return self._chain.push(position, value, sample_index)
+        return self._chain.push(sample_index - self.m + 1, value)
 
     def process(self, samples) -> list[DetectionEvent]:
         """Run a whole sample sequence through :meth:`step`."""

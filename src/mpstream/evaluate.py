@@ -2,9 +2,8 @@
 
 Anomalies are rare, so a single point-wise score can be misleading; every
 report therefore carries both views.  Segment scoring uses any-overlap
-matching by default (an optional IoU threshold tightens it), with signed
-boundary latencies for matched pairs: positive means the prediction is
-late, negative early.
+matching, with signed boundary latencies for matched pairs: positive means
+the prediction is late, negative early.
 """
 
 from __future__ import annotations
@@ -115,36 +114,21 @@ def _overlap(a: AnomalySegment, b: AnomalySegment) -> int:
     return max(0, min(a.end, b.end) - max(a.start, b.start))
 
 
-def _iou(a: AnomalySegment, b: AnomalySegment) -> float:
-    ov = _overlap(a, b)
-    if ov == 0:
-        return 0.0
-    union = max(a.end, b.end) - min(a.start, b.start)
-    return ov / union
-
-
-def segment_score(pred, truth, iou_threshold: float = 0.0) -> SegmentReport:
+def segment_score(pred, truth) -> SegmentReport:
     """Overlap-based segment matching.
 
     A truth segment counts as detected when at least one predicted segment
-    qualifies against it (any overlap by default; ``iou_threshold`` raises
-    the bar).  A predicted segment qualifying against no truth segment is a
-    false segment.  For latency each qualifying prediction is matched to the
+    overlaps it.  A predicted segment overlapping no truth segment is a
+    false segment.  For latency each overlapping prediction is matched to the
     truth segment it overlaps most, ties to the earlier truth segment.
     """
     pred = list(pred)
     truth = list(truth)
-    if not 0.0 <= iou_threshold < 1.0:
-        raise ValueError("iou_threshold must lie in [0, 1)")
-
-    def qualifies(p, t):
-        return _overlap(p, t) > 0 and _iou(p, t) >= iou_threshold
-
     detected_idx = set()
     false_segments = 0
     matches: list[SegmentMatch] = []
     for j, p in enumerate(pred):
-        candidates = [i for i, t in enumerate(truth) if qualifies(p, t)]
+        candidates = [i for i, t in enumerate(truth) if _overlap(p, t) > 0]
         if not candidates:
             false_segments += 1
             continue

@@ -13,6 +13,7 @@ severity ordering of the real fault classes; they are not measured values.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,12 @@ class FaultKind(enum.Enum):
     TREND_OUTLIER = "trend_outlier"
 
 
+def _check_finite(config, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(config, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     sample_rate_hz: float = 5000.0
@@ -69,6 +76,8 @@ class GeneratorConfig:
     seed: int = 42
 
     def __post_init__(self):
+        _check_finite(self, "sample_rate_hz", "duration_s", "nominal_freq_hz",
+                      "noise_std", "ripple_amplitude_hz")
         if not self.sample_rate_hz > 0 or not self.duration_s > 0:
             raise ValueError("sample_rate_hz and duration_s must be positive")
         if not self.nominal_freq_hz > 0:
@@ -92,6 +101,7 @@ class FaultSpec:
     severity: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, "start_s", "duration_s", "severity")
         # Severity 0 is allowed as the degenerate no-op injection.
         if not 0.0 <= self.severity <= 1.0:
             raise ValueError("severity must lie in [0, 1]")

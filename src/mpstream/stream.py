@@ -9,8 +9,9 @@ the stream never looks at samples that have not arrived yet.
 Memory is O(capacity) regardless of how many samples are ingested; the
 oldest sample is evicted once the window is full and profile entries whose
 subsequences slid out are discarded.  Entries whose recorded neighbor was
-evicted are recomputed against the current window when a snapshot is taken,
-so a snapshot never reports a distance to a subsequence that is gone.
+evicted are searched again against the current window when a snapshot is
+taken, so a snapshot never reports a distance to a subsequence that is gone.
+One neighbor search serves both the append and that snapshot pass.
 """
 
 from __future__ import annotations
@@ -43,11 +44,13 @@ class StreamingProfile:
     exclusion_radius : int, optional
         Trivial-match half-width, default ``ceil(m/4)``.
 
-    Appends score the newest subsequence with the batch profile's kernel
+    One neighbor search scores a subsequence with the batch profile's kernel
     (:func:`~mpstream.core.correlation_scores`,
     :func:`~mpstream.core.correlation`, :func:`~mpstream.core.match_distance`),
-    using 1/std and mean/std cached once per subsequence when it arrives;
-    older entries are left as they are.
+    using 1/std and mean/std cached once per subsequence when it arrives.
+    An append runs it on the newest subsequence with the dot products of the
+    rolling recurrence; older entries are left as they are until a snapshot
+    runs it again on those whose neighbor was evicted.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
@@ -95,10 +98,6 @@ class StreamingProfile:
         """Samples currently held; never exceeds ``capacity``."""
         return self._end - self._start
 
-    @property
-    def n_subsequences(self) -> int:
-        return max(0, self.n_retained - self.m + 1)
-
     def _compact(self):
         s, e, m = self._start, self._end, self.m
         keep = e - s
@@ -122,7 +121,7 @@ class StreamingProfile:
         x = float(sample)
         if not math.isfinite(x):
             raise ValueError("sample must be finite")
-        m, r, cap = self.m, self.exclusion_radius, self.capacity
+        m, cap = self.m, self.capacity
         buf = self._buf
         if self._end == buf.size:
             self._compact()
@@ -168,70 +167,60 @@ class StreamingProfile:
 
         # Dot products of the newest subsequence against every older one:
         # qt[j] <- qt_prev[j-1] - T[j-1]*T[l-1] + T[j+m-1]*x, then the first
-        # entry (which has no predecessor) is computed directly.
+        # entry (which has no predecessor) is computed directly.  On the
+        # first subsequence the recurrence range is empty.
         qt = self._qt
-        if count == m:
-            w = buf[l:end]
-            qt[l] = float(np.dot(w, w))
-        else:
-            k = l - start
-            t1 = self._t1[:k]
-            t2 = self._t2[:k]
-            np.multiply(buf[start:l], buf[l - 1], out=t1)
-            np.subtract(qt[start:l], t1, out=t1)
-            np.multiply(buf[start + m:l + m], x, out=t2)
-            np.add(t1, t2, out=qt[start + 1:l + 1])
-            qt[start] = float(np.dot(buf[start:start + m], buf[l:end]))
+        k = l - start
+        t1 = self._t1[:k]
+        t2 = self._t2[:k]
+        np.multiply(buf[start:l], buf[l - 1], out=t1)
+        np.subtract(qt[start:l], t1, out=t1)
+        np.multiply(buf[start + m:l + m], x, out=t2)
+        np.add(t1, t2, out=qt[start + 1:l + 1])
+        qt[start] = float(np.dot(buf[start:start + m], buf[l:end]))
+        return self._search(l, qt[start:])
 
-        hi = l - r  # candidates are buffer indices [start, hi)
+    def _search(self, o: int, qt: np.ndarray | None = None):
+        """Nearest left neighbor of the subsequence at buffer index ``o``
+        among the retained ones outside its exclusion zone.
+
+        ``qt[i]`` is its dot product with the subsequence at buffer index
+        ``start + i``; it is computed here when not given.  Stores and
+        returns ``(distance, neighbor_position)``, or stores the sentinel
+        and returns None when no candidate is left.
+        """
+        m, start = self.m, self._start
+        hi = o - self.exclusion_radius  # candidates are buffer indices [start, hi)
         if hi <= start:
-            self._dist[l] = np.inf
-            self._nn[l] = SENTINEL_INDEX
+            self._dist[o] = np.inf
+            self._nn[o] = SENTINEL_INDEX
             return None
-
+        buf = self._buf
+        if qt is None:
+            qt = np.correlate(buf[start:hi + m - 1], buf[o:o + m], mode="valid")
         # The identity steers the search; near-duplicate matches get their
         # value re-evaluated directly so every reported distance reproduces
         # from its neighbor to 1e-9 even on exactly repeating inputs.
         k = hi - start
-        score = correlation_scores(qt[start:hi], mu, sig, self._isig[start:hi],
-                                   self._mos[start:hi], m, self._t1[:k], self._t2[:k])
-        j = start + int(score.argmax())
-        d = match_distance(buf, m, l, j,
-                           correlation(qt[j], mu, sig, self._mu[j], self._sig[j], m))
-        nn_abs = self._offset + j
-        self._dist[l] = d
-        self._nn[l] = nn_abs
-        return d, int(nn_abs)
-
-    def _recompute_entry(self, o: int):
-        """Left profile of the subsequence at buffer index ``o`` against the
-        current window only; used when its recorded neighbor was evicted."""
-        m, r = self.m, self.exclusion_radius
-        start = self._start
-        hi = o - r
-        if hi <= start:
-            self._dist[o] = np.inf
-            self._nn[o] = SENTINEL_INDEX
-            return
-        buf = self._buf
-        qd = np.correlate(buf[start:hi + m - 1], buf[o:o + m], mode="valid")
-        k = hi - start
         mu, sig = float(self._mu[o]), float(self._sig[o])
-        score = correlation_scores(qd, mu, sig, self._isig[start:hi], self._mos[start:hi],
-                                   m, self._t1[:k], self._t2[:k])
-        j_rel = int(score.argmax())
-        j = start + j_rel
-        rho = correlation(qd[j_rel], mu, sig, self._mu[j], self._sig[j], m)
-        self._dist[o] = match_distance(buf, m, o, j, rho)
-        self._nn[o] = self._offset + j
+        score = correlation_scores(qt[:k], mu, sig, self._isig[start:hi],
+                                   self._mos[start:hi], m, self._t1[:k], self._t2[:k])
+        i = int(score.argmax())
+        j = start + i
+        d = match_distance(buf, m, o, j,
+                           correlation(qt[i], mu, sig, self._mu[j], self._sig[j], m))
+        nn = self._offset + j
+        self._dist[o] = d
+        self._nn[o] = nn
+        return d, nn
 
     def profile(self) -> MatrixProfile:
         """Snapshot of the left profile over the retained window.
 
         Positions are window-relative: index 0 is the oldest retained
         subsequence, and neighbor indices are re-based the same way.  Stale
-        entries (recorded neighbor evicted) are recomputed first, so every
-        reported neighbor is inside the window.  The snapshot is a copy and
+        entries (recorded neighbor evicted) are searched again first, so
+        every reported neighbor is inside the window.  The snapshot is a copy and
         is unaffected by later appends.
         """
         m = self.m
@@ -244,7 +233,7 @@ class StreamingProfile:
         live = self._nn[start:last + 1]
         stale = np.flatnonzero((live >= 0) & (live < window_start_abs))
         for o in stale + start:
-            self._recompute_entry(int(o))
+            self._search(int(o))
         distances = self._dist[start:last + 1].copy()
         nn = self._nn[start:last + 1].copy()
         valid = nn != SENTINEL_INDEX

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import mpstream
 from mpstream.cli import ConfigError, RunConfig, main
 from mpstream.detect import DetectorConfig, FilterChain
 from mpstream.generate import DEFAULT_LAYOUT, FourFaultLayout, GeneratorConfig
@@ -40,6 +45,19 @@ class TestGenerate:
         cfg = write_config(tmp_path, duration_s=0.0)
         assert main(["generate", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("config", [
+        '{"duration_s": 1e400}',
+        '{"dataset": "point_outlier", "fault_start_s": 1e400}',
+        '{"ll_start_s": 1e400}',
+    ])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, config):
+        # JSON reads 1e400 as infinity.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config)
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("mpstream: error: ")
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, duration_zz=1.0)
@@ -148,13 +166,12 @@ class TestDetect:
         # Reference: the stream and chain driven by hand at the defaults.
         d = DetectorConfig()
         stream = StreamingProfile(RunConfig.window, capacity=RunConfig.capacity)
-        chain = FilterChain(threshold, d.enter_ratio, d.exit_ratio,
-                            d.min_event_len, d.cooldown)
+        chain = FilterChain(threshold, d)
         want = []
         for i, x in enumerate(read_dataset(data)[1]):
             result = stream.append(float(x))
             if result is not None and i >= d.warmup:
-                want += chain.push(i - RunConfig.window + 1, result[0], i)
+                want += chain.push(i - RunConfig.window + 1, result[0])
         got = read_events(events)
         assert [(e.kind, e.position) for e in got] == \
                [(e.kind, e.position) for e in want]
@@ -200,6 +217,34 @@ class TestEvaluate:
     def test_truth_beyond_length_is_data_error(self, tmp_path):
         data, events, truth = self._pipeline(tmp_path)
         assert main(["evaluate", str(events), str(truth), "100"]) == 2
+
+    def test_unwritable_report_is_data_error(self, tmp_path, capsys):
+        data, events, truth = self._pipeline(tmp_path)
+        assert main(["evaluate", str(events), str(truth), "6000",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("mpstream: error: cannot write output")
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_is_data_error(self, tmp_path, unbuffered):
+        # stdout is a pipe whose reader is already gone, as after `| head -1`
+        # has exited; with and without buffering of stdout.
+        data, events, truth = self._pipeline(tmp_path)
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": str(Path(mpstream.__file__).parents[1])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mpstream", "evaluate", str(events),
+                 str(truth), "6000"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("mpstream: error: cannot write output")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 class TestProfile:

@@ -99,11 +99,11 @@ def run_reference_chain(values, positions, sample_indices, threshold,
 
 
 class TestFilterChain:
-    def drive(self, values, **kw):
-        chain = FilterChain(**kw)
+    def drive(self, values, threshold, **kw):
+        chain = FilterChain(threshold, DetectorConfig(**kw))
         events = []
         for i, v in enumerate(values):
-            events.extend(chain.push(i, v, i))
+            events.extend(chain.push(i, v))
         return events
 
     def test_quiet_input_no_events(self):
@@ -128,6 +128,8 @@ class TestFilterChain:
         assert kinds == [EventKind.START, EventKind.END]
 
     def test_matches_reference_on_random_inputs(self):
+        # The chain counts cooldown in positions; the reference counts it in
+        # sample indices, m - 1 past the positions as in AnomalyDetector.step.
         r = rng(51)
         for _ in range(50):
             n = int(r.integers(20, 200))
@@ -138,11 +140,12 @@ class TestFilterChain:
                       min_event_len=int(r.integers(1, 5)),
                       cooldown=int(r.integers(0, 20)))
             got = [(e.kind.value, e.position) for e in self.drive(vals, **kw)]
-            want = run_reference_chain(vals, range(n), range(n),
-                                       kw["threshold"], kw["enter_ratio"],
-                                       kw["exit_ratio"], kw["min_event_len"],
-                                       kw["cooldown"])
-            assert got == want
+            for offset in (0, int(r.integers(1, 64))):
+                want = run_reference_chain(vals, range(n), range(offset, n + offset),
+                                           kw["threshold"], kw["enter_ratio"],
+                                           kw["exit_ratio"], kw["min_event_len"],
+                                           kw["cooldown"])
+                assert got == want
 
     def test_alternation_property(self):
         r = rng(52)

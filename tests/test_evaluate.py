@@ -118,6 +118,9 @@ class TestSegmentScore:
         assert rep.false_segments == 1
         assert rep.detected == 0
         assert rep.missed == 1
+        # Any overlap matches, down to one shared sample.
+        rep = segment_score([seg(19, 40)], [seg(10, 20)])
+        assert (rep.detected, rep.false_segments) == (1, 0)
 
     def test_boundary_latencies(self):
         rep = segment_score([seg(12, 25)], [seg(10, 20)])
@@ -139,14 +142,6 @@ class TestSegmentScore:
         assert rep.detected == 2  # both overlapped
         (m,) = rep.matches
         assert m.truth_index == 0
-
-    def test_iou_threshold(self):
-        # One-sample overlap qualifies by default but not under IoU 0.5.
-        rep0 = segment_score([seg(19, 40)], [seg(10, 20)])
-        assert rep0.detected == 1
-        rep = segment_score([seg(19, 40)], [seg(10, 20)], iou_threshold=0.5)
-        assert rep.detected == 0
-        assert rep.false_segments == 1
 
     def test_permutation_invariance(self):
         r = np.random.default_rng(5)
