@@ -142,11 +142,8 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     truth_path = _sidecar(out, ".truth.csv")
-    try:
-        write_dataset(out, dataset)
-        write_truth(truth_path, dataset.truth)
-    except OSError as exc:
-        raise DataError(f"cannot write output: {exc}") from exc
+    write_dataset(out, dataset)
+    write_truth(truth_path, dataset.truth)
     log.info("wrote %d samples to %s (truth: %s)", len(dataset.channel), out, truth_path)
     return 0
 
@@ -170,11 +167,8 @@ def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
     if detector.threshold is None:
         log.warning("input shorter than warm-up + calibration; no detection performed")
     profile_path = _sidecar(out, ".profile.csv")
-    try:
-        write_events(out, events)
-        write_profile_trace(profile_path, times, values, labels, trace)
-    except OSError as exc:
-        raise DataError(f"cannot write output: {exc}") from exc
+    write_events(out, events)
+    write_profile_trace(profile_path, times, values, labels, trace)
     log.info("detected %d events over %d samples (threshold %s)",
              len(events), len(values),
              "n/a" if detector.threshold is None else f"{detector.threshold:.6g}")
@@ -183,6 +177,8 @@ def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
 
 def cmd_evaluate(pred_path: Path, truth_path: Path, n: int,
                  out: Path | None) -> int:
+    if n < 0:
+        raise ConfigError(f"stream length must be >= 0, got {n}")
     events = read_events(pred_path)
     truth = read_truth(truth_path)
     for seg in truth:
@@ -214,9 +210,6 @@ def cmd_evaluate(pred_path: Path, truth_path: Path, n: int,
         print()
         print(metrics_table(rows))
         sys.stdout.flush()
-        if out is not None:
-            write_report(out, [(name, classification_metrics(c)) for name, c in rows])
-            log.info("wrote report to %s", out)
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):
             # The reader is gone: send what is left of stdout to devnull so
@@ -224,6 +217,9 @@ def cmd_evaluate(pred_path: Path, truth_path: Path, n: int,
             # SIGPIPE note in the documentation of Python's signal module).
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise DataError(f"cannot write output: {exc}") from exc
+    if out is not None:
+        write_report(out, [(name, classification_metrics(c)) for name, c in rows])
+        log.info("wrote report to %s", out)
     return 0
 
 
@@ -234,10 +230,7 @@ def cmd_profile(cfg: RunConfig, in_path: Path, out: Path) -> int:
                             exclusion_radius=cfg.exclusion_radius)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        write_profile(out, mp)
-    except OSError as exc:
-        raise DataError(f"cannot write output: {exc}") from exc
+    write_profile(out, mp)
     log.info("wrote profile of %d subsequences to %s", len(mp), out)
     return 0
 
@@ -319,9 +312,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"mpstream: error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"mpstream: error: {exc}", file=sys.stderr)
-        return 2
     except DataError as exc:
         print(f"mpstream: error: {exc}", file=sys.stderr)
         return 2

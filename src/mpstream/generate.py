@@ -251,15 +251,21 @@ class FourFaultLayout:
     grid_duration_s: float = 0.1
 
     def faults(self, severity: float = 1.0) -> list[FaultSpec]:
-        return [
-            FaultSpec(FaultKind.LL_FAULT, self.ll_start_s, self.ll_duration_s, severity),
-            FaultSpec(FaultKind.THREE_PHASE_SENSOR_FAULT, self.sensor_start_s,
-                      self.sensor_duration_s, severity),
-            FaultSpec(FaultKind.SINGLE_PHASE_VOLTAGE_SAG, self.sag_start_s,
-                      self.sag_duration_s, severity),
-            FaultSpec(FaultKind.THREE_PHASE_GRID_FAULT, self.grid_start_s,
-                      self.grid_duration_s, severity),
-        ]
+        """The four faults in order; an invalid one raises ValueError naming
+        the config keys it was built from."""
+        specs = []
+        for kind, key in ((FaultKind.LL_FAULT, "ll"),
+                          (FaultKind.THREE_PHASE_SENSOR_FAULT, "sensor"),
+                          (FaultKind.SINGLE_PHASE_VOLTAGE_SAG, "sag"),
+                          (FaultKind.THREE_PHASE_GRID_FAULT, "grid")):
+            start_key, duration_key = f"{key}_start_s", f"{key}_duration_s"
+            try:
+                specs.append(FaultSpec(kind, getattr(self, start_key),
+                                       getattr(self, duration_key), severity))
+            except ValueError as exc:
+                raise ValueError(f"{kind.value} (config keys {start_key}, "
+                                 f"{duration_key}, severity): {exc}") from None
+        return specs
 
 
 DEFAULT_LAYOUT = FourFaultLayout()

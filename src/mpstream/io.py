@@ -15,7 +15,9 @@ digits so outputs are byte-reproducible):
   where a subsequence has no valid neighbor.
 
 Every reader accepts its writer's output and reports malformed rows by file
-line number.
+line number.  This module is the only one that opens a pipeline file, and
+every failure to read or write one, from a missing file or a directory to
+a full disk, raises :class:`DataError`.
 """
 
 from __future__ import annotations
@@ -59,29 +61,37 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _open_write(path):
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write(path, header, rows) -> None:
+    """Write ``header``, then ``rows``, as the CSV at ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as exc:
+        raise DataError(f"cannot write output: {exc}") from exc
 
 
 def _rows(path, header):
     """Yield ``(line number, fields)`` for each data row of a CSV that must
     open with ``header`` and give every row as many fields."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise DataError(f"{path}: empty file")
-        if first != header:
-            raise DataError(f"{path}: line 1: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {lineno}: "
-                                f"expected {len(header)} fields, got {len(row)}")
-            yield lineno, row
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            if first != header:
+                raise DataError(f"{path}: line 1: expected header {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(f"{path}: line {lineno}: "
+                                    f"expected {len(header)} fields, got {len(row)}")
+                yield lineno, row
+    except OSError as exc:
+        raise DataError(f"cannot read input: {exc}") from exc
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def _sample_labels(dataset: LabeledDataset) -> list[str]:
@@ -96,11 +106,8 @@ def write_dataset(path, dataset: LabeledDataset) -> None:
     t = dataset.channel.times_s
     x = dataset.channel.samples
     labels = _sample_labels(dataset)
-    with _open_write(path) as fh:
-        w = _writer(fh)
-        w.writerow(DATASET_HEADER)
-        for i in range(x.size):
-            w.writerow([_fmt(t[i]), _fmt(x[i]), labels[i]])
+    _write(path, DATASET_HEADER,
+           ([_fmt(t[i]), _fmt(x[i]), labels[i]] for i in range(x.size)))
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -117,11 +124,8 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
 
 def write_truth(path, truth) -> None:
-    with _open_write(path) as fh:
-        w = _writer(fh)
-        w.writerow(TRUTH_HEADER)
-        for seg in truth:
-            w.writerow([seg.start, seg.end, seg.label or ""])
+    _write(path, TRUTH_HEADER,
+           ([seg.start, seg.end, seg.label or ""] for seg in truth))
 
 
 def read_truth(path) -> list[AnomalySegment]:
@@ -131,6 +135,8 @@ def read_truth(path) -> list[AnomalySegment]:
             start, end = int(start), int(end)
         except ValueError:
             raise DataError(f"{path}: line {lineno}: malformed index") from None
+        if start < 0:
+            raise DataError(f"{path}: line {lineno}: negative index {start}")
         try:
             out.append(AnomalySegment(start, end, label or None))
         except ValueError as exc:
@@ -139,48 +145,42 @@ def read_truth(path) -> list[AnomalySegment]:
 
 
 def write_events(path, events) -> None:
-    with _open_write(path) as fh:
-        w = _writer(fh)
-        w.writerow(EVENTS_HEADER)
-        for ev in events:
-            w.writerow([ev.kind.value, ev.position, _fmt(ev.profile_value)])
+    _write(path, EVENTS_HEADER,
+           ([ev.kind.value, ev.position, _fmt(ev.profile_value)] for ev in events))
 
 
 def read_events(path) -> list[DetectionEvent]:
     out = []
     for lineno, (kind, position, value) in _rows(path, EVENTS_HEADER):
         try:
-            out.append(DetectionEvent(EventKind(kind), int(position), float(value)))
+            event = DetectionEvent(EventKind(kind), int(position), float(value))
         except ValueError:
             raise DataError(f"{path}: line {lineno}: malformed event") from None
+        if event.position < 0:
+            raise DataError(f"{path}: line {lineno}: negative position {event.position}")
+        out.append(event)
     return out
 
 
 def write_profile_trace(path, times, values, labels, profile_values) -> None:
     """Per-sample tidy trace; ``profile_values`` entries may be None."""
-    with _open_write(path) as fh:
-        w = _writer(fh)
-        w.writerow(PROFILE_HEADER)
-        for t, x, lab, pv in zip(times, values, labels, profile_values):
-            w.writerow([_fmt(t), _fmt(x), lab, "" if pv is None else _fmt(pv)])
+    _write(path, PROFILE_HEADER,
+           ([_fmt(t), _fmt(x), lab, "" if pv is None else _fmt(pv)]
+            for t, x, lab, pv in zip(times, values, labels, profile_values)))
 
 
 def write_profile(path, mp: MatrixProfile) -> None:
     """Batch profile, one row per subsequence position."""
-    with _open_write(path) as fh:
-        w = _writer(fh)
-        w.writerow(BATCH_PROFILE_HEADER)
-        for i, (d, j) in enumerate(zip(mp.distances, mp.indices)):
-            w.writerow([i, "", ""] if j == SENTINEL_INDEX else [i, _fmt(d), j])
+    _write(path, BATCH_PROFILE_HEADER,
+           ([i, "", ""] if j == SENTINEL_INDEX else [i, _fmt(d), j]
+            for i, (d, j) in enumerate(zip(mp.distances, mp.indices))))
 
 
 def write_report(path, rows: list[tuple[str, Metrics]]) -> None:
-    with _open_write(path) as fh:
-        w = _writer(fh)
-        w.writerow(REPORT_HEADER)
-        for name, m in rows:
-            w.writerow([name] + ["" if v is None else _fmt(v)
-                                 for v in (m.accuracy, m.precision, m.recall, m.f_score)])
+    _write(path, REPORT_HEADER,
+           ([name] + ["" if v is None else _fmt(v)
+                      for v in (m.accuracy, m.precision, m.recall, m.f_score)]
+            for name, m in rows))
 
 
 def read_report(path) -> list[tuple[str, Metrics]]:

@@ -59,6 +59,16 @@ class TestGenerate:
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.startswith("mpstream: error: ")
 
+    @pytest.mark.parametrize("key, value", [
+        ("ll_duration_s", -1), ("sensor_start_s", 1e400),
+        ("sag_start_s", -0.5), ("grid_duration_s", 0.0)])
+    def test_layout_error_names_its_keys(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["generate", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mpstream: error: ") and key in err
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, duration_zz=1.0)
         assert main(["generate", "--config", cfg,
@@ -214,6 +224,23 @@ class TestEvaluate:
         write_report(report2, rows)
         assert report.read_bytes() == report2.read_bytes()
 
+    @pytest.mark.parametrize("events_csv, truth_csv", [
+        ("", "-4,-2,x\n"),
+        ("start,-3,5.0\nend,2,1.0\n", "5,15,x\n"),
+    ], ids=["negative-truth-index", "negative-event-position"])
+    def test_negative_index_is_data_error(self, tmp_path, capsys,
+                                          events_csv, truth_csv):
+        events = tmp_path / "events.csv"
+        events.write_text("kind,position,profile_value\n" + events_csv)
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_idx,end_idx,label\n" + truth_csv)
+        assert main(["evaluate", str(events), str(truth), "100"]) == 2
+        assert "line 2: negative" in capsys.readouterr().err
+
+    def test_negative_length_is_usage_error(self, tmp_path):
+        data, events, truth = self._pipeline(tmp_path)
+        assert main(["evaluate", str(events), str(truth), "-5"]) == 1
+
     def test_truth_beyond_length_is_data_error(self, tmp_path):
         data, events, truth = self._pipeline(tmp_path)
         assert main(["evaluate", str(events), str(truth), "100"]) == 2
@@ -291,6 +318,17 @@ class TestInterface:
                                         "fault_duration_s": 0.02})
         assert main(["generate", "--config", cfg,
                      "--out", str(tmp_path / "d.csv")]) == 0
+
+    @pytest.mark.parametrize("command", [
+        ["detect", "{d}"], ["profile", "{d}"],
+        ["evaluate", "{d}", "{d}", "100"],
+    ], ids=["detect", "profile", "evaluate"])
+    def test_directory_input_is_data_error(self, tmp_path, capsys, command):
+        out = ["--out", str(tmp_path / "o.csv")] if command[0] != "evaluate" else []
+        assert main([a.format(d=tmp_path) for a in command] + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mpstream: error: cannot read input")
+        assert err.count("\n") == 1
 
     def test_malformed_event_alternation_is_data_error(self, tmp_path):
         events = tmp_path / "events.csv"

@@ -140,3 +140,40 @@ class TestEmptyFiles:
         path.write_text("")
         with pytest.raises(DataError):
             read_events(path)
+
+
+class TestFileFailures:
+    @pytest.mark.parametrize("read", [read_dataset, read_truth, read_events,
+                                      read_report])
+    def test_unreadable_input_is_data_error(self, tmp_path, read):
+        with pytest.raises(DataError, match="cannot read input"):
+            read(tmp_path)
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(DataError, match="not UTF-8"):
+            read(binary)
+
+    @pytest.mark.parametrize("write, rows", [
+        (write_dataset, small_dataset()), (write_truth, []),
+        (write_events, []), (write_report, []),
+        (write_profile, MatrixProfile(np.zeros(1), np.zeros(1, dtype=np.int64), m=2)),
+    ])
+    def test_unwritable_output_is_data_error(self, tmp_path, write, rows):
+        with pytest.raises(DataError, match="cannot write output"):
+            write(tmp_path, rows)
+
+    def test_unwritable_trace_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot write output"):
+            write_profile_trace(tmp_path, [], [], [], [])
+
+    def test_negative_truth_index_rejected(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("start_idx,end_idx,label\n0,3,x\n-4,-2,y\n")
+        with pytest.raises(DataError, match="line 3: negative index"):
+            read_truth(path)
+
+    def test_negative_event_position_rejected(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("kind,position,profile_value\nstart,-3,5.0\n")
+        with pytest.raises(DataError, match="line 2: negative position"):
+            read_events(path)
