@@ -45,10 +45,6 @@ __all__ = [
 # is +inf.  Serialized as an empty CSV field.
 SENTINEL_INDEX = -1
 
-# Rows per fresh dot-product restart inside matrix_profile(); restarting
-# bounds recurrence drift.
-_QT_CHUNK = 256
-
 # The dot-product identity loses absolute precision only where the distance
 # is near zero; matches at least this correlated get their distance
 # re-evaluated directly from the samples.
@@ -148,21 +144,25 @@ def _constant_windows(x: np.ndarray, m: int) -> np.ndarray:
 def rolling_stats(series, m: int) -> RollingStats:
     """Mean and population std of every length-``m`` window, in O(n).
 
-    Uses a single cumulative-sum pass.  Negative variances from cancellation
-    are clamped at zero, and exactly-constant windows are forced to zero std
-    so the degenerate-distance conventions trigger reliably.
+    Uses a single cumulative-sum pass over the samples minus the first
+    sample, so a large common offset (a 50 Hz level) does not cancel away
+    the variance; the first sample is added back to the means.  Negative
+    variances from cancellation are clamped at zero, and exactly-constant
+    windows are forced to zero std so the degenerate-distance conventions
+    trigger reliably.
     """
     x = _as_samples(series)
     m = _validate_window(m, x.size)
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    csq = np.concatenate(([0.0], np.cumsum(x * x)))
+    c = x - x[0]
+    csum = np.concatenate(([0.0], np.cumsum(c)))
+    csq = np.concatenate(([0.0], np.cumsum(c * c)))
     sums = csum[m:] - csum[:-m]
     sqsums = csq[m:] - csq[:-m]
     means = sums / m
     variances = sqsums / m - means * means
     np.maximum(variances, 0.0, out=variances)
     variances[_constant_windows(x, m)] = 0.0
-    return RollingStats(means=means, stds=np.sqrt(variances))
+    return RollingStats(means=means + x[0], stds=np.sqrt(variances))
 
 
 def znorm_distance(a, b) -> float:
@@ -199,12 +199,15 @@ def sliding_dot_products(query, series) -> np.ndarray:
     return np.correlate(x, q, mode="valid")
 
 
-def _znorm_windows(x: np.ndarray, m: int, stats: RollingStats) -> tuple[np.ndarray, np.ndarray]:
-    """All windows z-normalized row-wise; flat rows become zero vectors."""
+def _znorm_windows(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """All windows z-normalized row-wise with two-pass statistics of their
+    own; flat rows (all samples equal) become zero vectors."""
     windows = sliding_window_view(x, m)
-    flat = stats.stds == 0.0
-    denom = np.where(flat, 1.0, stats.stds)
-    z = (windows - stats.means[:, None]) / denom[:, None]
+    means = windows.mean(axis=1)
+    stds = windows.std(axis=1)
+    flat = (stds == 0.0) | (np.ptp(windows, axis=1) == 0.0)
+    denom = np.where(flat, 1.0, stds)
+    z = (windows - means[:, None]) / denom[:, None]
     z[flat] = 0.0
     return z, flat
 
@@ -279,15 +282,15 @@ def matrix_profile_brute(series, m: int, exclusion_radius: int | None = None) ->
     For every subsequence the distance to each other subsequence outside the
     exclusion zone is evaluated directly on explicitly normalized windows;
     the minimum (ties to the lowest index) becomes the profile entry.  Serves
-    as the correctness oracle for :func:`matrix_profile` and shares none of
-    its correlation kernel.
+    as the correctness oracle for :func:`matrix_profile` and shares neither
+    its window statistics nor its correlation kernel.
     """
     x = _as_samples(series)
     m = _validate_window(m, x.size)
     r = _validate_radius(exclusion_radius, m)
     p = x.size - m + 1
 
-    rows, flat = _znorm_windows(x, m, rolling_stats(x, m))
+    rows, flat = _znorm_windows(x, m)
     sqnorms = np.einsum("ij,ij->i", rows, rows)
 
     distances = np.full(p, np.inf)
@@ -319,10 +322,11 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
     """Matrix Profile in O(n^2) time and O(n) auxiliary space.
 
     Equivalent to :func:`matrix_profile_brute` within 1e-6 per element
-    (indices up to distance ties).  ``qt[j]`` tracks dot(window_i, window_j)
-    and is updated incrementally from row to row; every ``_QT_CHUNK`` rows
-    it restarts from a fresh sliding dot product, which bounds recurrence
-    drift.  Each row is scored with :func:`correlation_scores`, using 1/std
+    (indices up to distance ties).  It works on the samples minus the first
+    sample, which leaves every distance unchanged but keeps a large common
+    offset out of the dot products, where it would cancel.  ``qt[j]`` tracks
+    dot(window_i, window_j) and is updated incrementally from row to row.
+    Each row is scored with :func:`correlation_scores`, using 1/std
     and mean/std cached once per call, and only its winner gets a
     :func:`correlation` and a :func:`match_distance`: the same kernel the
     stream uses.
@@ -341,6 +345,7 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
     r = _validate_radius(exclusion_radius, m)
     n = x.size
     p = n - m + 1
+    x = x - x[0]
 
     stats = rolling_stats(x, m)
     means, stds = stats.means, stats.stds
@@ -360,15 +365,13 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
     x_old, x_new = x[:p - 1], x[m:n]
     s_head, t_head = score[:p - 1], tmp[:p - 1]
     for i in range(p):
-        if i % _QT_CHUNK:
+        if i:
             qt, prev = prev, qt
             np.multiply(x_old, x[i - 1], out=s_head)
             np.subtract(prev[:-1], s_head, out=s_head)
             np.multiply(x_new, x[i + m - 1], out=t_head)
             np.add(s_head, t_head, out=qt[1:])
             qt[0] = qt_row0[i]
-        elif i:
-            qt[:] = sliding_dot_products(x[i:i + m], x)
         mu, sig = float(means[i]), float(stds[i])
         correlation_scores(qt, mu, sig, inv_stds, means_over_stds, m, score, tmp)
         score[max(0, i - r):min(p, i + r + 1)] = -np.inf

@@ -52,6 +52,10 @@ class StreamingProfile:
     rolling recurrence; older entries are left as they are until a snapshot
     runs it again on those whose neighbor was evicted.
 
+    Samples are stored minus the first sample of the stream.  That leaves
+    every distance unchanged but keeps a large common offset (a 50 Hz
+    level) out of the running sums and dot products, where it would cancel.
+
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
     copies.
@@ -84,6 +88,7 @@ class StreamingProfile:
         self._start = 0          # buffer index of the oldest retained sample
         self._end = 0            # one past the newest sample
         self._offset = 0         # absolute stream position of buf[0]
+        self._ref = 0.0          # first sample; buf holds samples minus it
         self._s1 = 0.0           # running sum over the newest m samples
         self._s2 = 0.0           # running sum of squares
         self._equal_run = 0      # trailing run of bitwise-identical samples
@@ -121,6 +126,9 @@ class StreamingProfile:
         x = float(sample)
         if not math.isfinite(x):
             raise ValueError("sample must be finite")
+        if self.count == 0:
+            self._ref = x
+        x -= self._ref
         m, cap = self.m, self.capacity
         buf = self._buf
         if self._end == buf.size:
@@ -142,16 +150,31 @@ class StreamingProfile:
         start, end = self._start, self._end
         l = end - m  # buffer index of the newest subsequence
 
-        # Rolling stats of the newest subsequence; full recomputation every
-        # `capacity` appends bounds cumulative drift.
+        # Rolling sums of the newest subsequence and its dot products with
+        # every older one.  Every `capacity` appends both are recomputed
+        # from the samples, which bounds cumulative drift: the short-lag
+        # dot products never leave the window, so rounding in their
+        # recurrence would otherwise persist.
+        qt = self._qt
         if count == m or count % cap == 0:
             w = buf[l:end]
             self._s1 = float(np.sum(w))
             self._s2 = float(np.dot(w, w))
+            qt[start:l + 1] = np.correlate(buf[start:end], w, mode="valid")
         else:
             old = buf[l - 1]
             self._s1 += x - old
             self._s2 += x * x - old * old
+            # qt[j] <- qt_prev[j-1] - T[j-1]*T[l-1] + T[j+m-1]*x, then the
+            # first entry (which has no predecessor) is computed directly.
+            k = l - start
+            t1 = self._t1[:k]
+            t2 = self._t2[:k]
+            np.multiply(buf[start:l], old, out=t1)
+            np.subtract(qt[start:l], t1, out=t1)
+            np.multiply(buf[start + m:l + m], x, out=t2)
+            np.add(t1, t2, out=qt[start + 1:l + 1])
+            qt[start] = float(np.dot(buf[start:start + m], buf[l:end]))
         mu = self._s1 / m
         var = self._s2 / m - mu * mu
         if var < 0.0 or self._equal_run >= m:
@@ -164,20 +187,6 @@ class StreamingProfile:
         else:
             self._isig[l] = 1.0 / sig
             self._mos[l] = mu / sig
-
-        # Dot products of the newest subsequence against every older one:
-        # qt[j] <- qt_prev[j-1] - T[j-1]*T[l-1] + T[j+m-1]*x, then the first
-        # entry (which has no predecessor) is computed directly.  On the
-        # first subsequence the recurrence range is empty.
-        qt = self._qt
-        k = l - start
-        t1 = self._t1[:k]
-        t2 = self._t2[:k]
-        np.multiply(buf[start:l], buf[l - 1], out=t1)
-        np.subtract(qt[start:l], t1, out=t1)
-        np.multiply(buf[start + m:l + m], x, out=t2)
-        np.add(t1, t2, out=qt[start + 1:l + 1])
-        qt[start] = float(np.dot(buf[start:start + m], buf[l:end]))
         return self._search(l, qt[start:])
 
     def _search(self, o: int, qt: np.ndarray | None = None):

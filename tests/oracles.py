@@ -80,6 +80,21 @@ def naive_left_profile(xs, m, radius):
     return distances, indices
 
 
+def _znormalized(x, m):
+    """Every length-``m`` window of ``x`` z-normalized with its own two-pass
+    mean and std, and the mask of flat windows, which become zero rows."""
+    import numpy as np
+
+    windows = np.lib.stride_tricks.sliding_window_view(x, m)
+    mu = windows.mean(axis=1)
+    sd = windows.std(axis=1)
+    flat = (sd == 0.0) | (windows.max(axis=1) == windows.min(axis=1))
+    z = windows - mu[:, None]
+    z /= np.where(flat, 1.0, sd)[:, None]
+    z[flat] = 0.0
+    return z, flat
+
+
 def batch_left_profile(xs, m, radius):
     """Vectorized left-profile oracle on explicitly z-normalized windows.
 
@@ -92,13 +107,7 @@ def batch_left_profile(xs, m, radius):
 
     x = np.asarray(xs, dtype=np.float64)
     p = x.size - m + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, m).astype(np.float64)
-    mu = windows.mean(axis=1)
-    sd = windows.std(axis=1)
-    flat = (sd == 0.0) | (windows.max(axis=1) == windows.min(axis=1))
-    sd_safe = np.where(flat, 1.0, sd)
-    z = (windows - mu[:, None]) / sd_safe[:, None]
-    z[flat] = 0.0
+    z, flat = _znormalized(x, m)
     sq = np.einsum("ij,ij->i", z, z)
     distances = np.full(p, np.inf)
     indices = np.full(p, -1, dtype=np.int64)
@@ -117,3 +126,36 @@ def batch_left_profile(xs, m, radius):
         distances[i] = math.sqrt(d2[j])
         indices[i] = j
     return distances, indices
+
+
+def windowed_left_profile(xs, m, radius, capacity, positions):
+    """Left-profile values that a stream retaining ``capacity`` samples
+    reports for the subsequences starting at ``positions``.
+
+    Subsequence i arrives with sample i + m - 1.  Its candidates start at
+    least ``radius + 1`` samples before it and lie wholly inside the newest
+    ``capacity`` samples at that moment.  Distances are summed directly over
+    explicitly z-normalized windows, with no dot-product identity, so this
+    stays exact on a large common offset.  +inf where no candidate is left.
+    """
+    import numpy as np
+
+    x = np.asarray(xs, dtype=np.float64)
+    positions = [int(i) for i in positions]
+    base = max(0, min(positions) + m - capacity)
+    z, flat = _znormalized(x[base:max(positions) + m], m)
+    out = []
+    for i in positions:
+        lo, hi = max(0, i + m - capacity) - base, i - radius - base
+        if hi <= lo:
+            out.append(math.inf)
+            continue
+        q = i - base
+        if flat[q]:
+            d2 = np.where(flat[lo:hi], 0.0, 2.0 * m)
+        else:
+            diff = z[lo:hi] - z[q]
+            d2 = np.minimum(np.einsum("ij,ij->i", diff, diff), 4.0 * m)
+            d2[flat[lo:hi]] = 2.0 * m
+        out.append(math.sqrt(d2.min()))
+    return np.array(out)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -27,9 +28,33 @@ from oracles import (
     naive_rolling_stats,
     naive_sliding_dots,
     naive_znorm_distance,
+    windowed_left_profile,
 )
+from mpstream.generate import four_fault_dataset
 
 rng = np.random.default_rng
+
+
+@functools.cache
+def default_channel():
+    """The default four-fault channel: a 50 Hz level, a flat sensor-fault
+    plateau near sample 40000, and 100000 samples."""
+    return four_fault_dataset().channel.samples
+
+
+def stream_trace(x, m, capacity, radius=None):
+    """Profile value emitted on each sample, None while warming up."""
+    sp = StreamingProfile(m, capacity=capacity, exclusion_radius=radius)
+    return [None if (res := sp.append(v)) is None else res[0] for v in x]
+
+
+def stream_error(x, m, capacity, positions, radius=None):
+    """Largest stream-vs-oracle difference over subsequence ``positions``."""
+    trace = stream_trace(x, m, capacity, radius)
+    r = default_exclusion_radius(m) if radius is None else radius
+    want = windowed_left_profile(x, m, r, capacity, positions)
+    got = np.array([trace[i + m - 1] for i in positions])
+    return np.abs(got - want).max()
 
 
 class TestTimeSeries:
@@ -433,3 +458,57 @@ class TestStructuredSignals:
                 assert abs(znorm_distance(x[i:i + m], x[j:j + m]) - d) <= 1e-9, (i, j)
                 emitted += 1
             assert emitted == x.size - m - radius
+
+
+class TestOffsetRobustness:
+    """The distance contracts on realistic channels: a large common offset,
+    a near-flat plateau and a long run, against oracles that share no
+    statistics with the code under test."""
+
+    M = 64
+
+    def test_offset_does_not_move_any_distance(self):
+        g = rng(8).normal(size=2500)
+        batch = matrix_profile(g, self.M).distances
+        stream = np.array(stream_trace(g, self.M, 1024)[self.M + 16:])
+        for b in (0.0, 50.0, 1e3, 1e6):
+            assert np.abs(matrix_profile(g + b, self.M).distances - batch).max() <= 1e-9, b
+            got = np.array(stream_trace(g + b, self.M, 1024)[self.M + 16:])
+            assert np.abs(got - stream).max() <= 1e-9, b
+
+    @pytest.mark.parametrize("lo, hi", [(0, 3000), (39000, 41500)],
+                             ids=["start", "plateau"])
+    def test_batch_matches_brute_on_the_default_channel(self, lo, hi):
+        x = default_channel()[lo:hi]
+        err = np.abs(matrix_profile(x, self.M).distances
+                     - matrix_profile_brute(x, self.M).distances).max()
+        assert err <= 1e-6
+
+    @pytest.mark.parametrize("lo, hi", [(0, 3000), (39000, 41500)],
+                             ids=["start", "plateau"])
+    @pytest.mark.parametrize("capacity", [None, 1024], ids=["no-eviction", "cap1024"])
+    def test_stream_matches_oracle_on_the_default_channel(self, lo, hi, capacity):
+        x = default_channel()[lo:hi]
+        positions = range(self.M + default_exclusion_radius(self.M), x.size - self.M + 1)
+        assert stream_error(x, self.M, capacity or x.size, positions) <= 1e-9
+
+    def test_long_stream_matches_oracle_on_the_default_channel(self):
+        x = default_channel()
+        positions = np.sort(rng(9).choice(np.arange(100, x.size - self.M + 1),
+                                          size=300, replace=False))
+        # Include the subsequences right after the plateau and the grid fault.
+        positions = np.union1d(positions, [40070, 40100, 80500, 98780 - self.M + 1])
+        assert stream_error(x, self.M, 8192, positions) <= 1e-9
+
+    def test_rolling_stats_on_the_default_channel(self):
+        x = default_channel()
+        st = rolling_stats(x, self.M)
+        worst = 0.0
+        for lo in range(0, st.stds.size, 10_000):
+            w = np.lib.stride_tricks.sliding_window_view(x, self.M)[lo:lo + 10_000]
+            ref = w.std(axis=1)
+            assert np.abs(st.means[lo:lo + ref.size] - w.mean(axis=1)).max() <= 1e-12
+            live = np.ptp(w, axis=1) > 0
+            rel = np.abs(st.stds[lo:lo + ref.size][live] - ref[live]) / ref[live]
+            worst = max(worst, rel.max())
+        assert worst <= 1e-6
