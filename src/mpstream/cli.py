@@ -159,10 +159,7 @@ def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
     events = []
     trace = []
     for x in values:
-        try:
-            events.extend(detector.step(float(x)))
-        except ValueError as exc:
-            raise DataError(f"{in_path}: sample {detector.stream.count}: {exc}") from exc
+        events.extend(detector.step(float(x)))
         trace.append(detector.last_profile)
     if detector.threshold is None:
         log.warning("input shorter than warm-up + calibration; no detection performed")
@@ -181,18 +178,15 @@ def cmd_evaluate(pred_path: Path, truth_path: Path, n: int,
         raise ConfigError(f"stream length must be >= 0, got {n}")
     events = read_events(pred_path)
     truth = read_truth(truth_path)
-    for seg in truth:
-        if seg.end > n:
-            raise DataError(f"truth segment [{seg.start}, {seg.end}) exceeds "
-                            f"stream length {n}")
     try:
         pred = events_to_segments(events, n)
     except ValueError as exc:
         raise DataError(f"{pred_path}: {exc}") from exc
-    for seg in pred:
-        if seg.end > n:
-            raise DataError(f"predicted segment [{seg.start}, {seg.end}) exceeds "
-                            f"stream length {n}")
+    for what, segments in (("truth", truth), ("predicted", pred)):
+        for seg in segments:
+            if seg.end > n:
+                raise DataError(f"{what} segment [{seg.start}, {seg.end}) exceeds "
+                                f"stream length {n}")
 
     report = segment_score(pred, truth)
     rows = []

@@ -144,12 +144,11 @@ def _constant_windows(x: np.ndarray, m: int) -> np.ndarray:
 def rolling_stats(series, m: int) -> RollingStats:
     """Mean and population std of every length-``m`` window, in O(n).
 
-    Uses a single cumulative-sum pass over the samples minus the first
-    sample, so a large common offset (a 50 Hz level) does not cancel away
-    the variance; the first sample is added back to the means.  Negative
-    variances from cancellation are clamped at zero, and exactly-constant
-    windows are forced to zero std so the degenerate-distance conventions
-    trigger reliably.
+    Uses one cumulative-sum pass over the samples minus the first, so a
+    large common offset (a 50 Hz level) cannot cancel the variance away.
+    Negative variances from cancellation are clamped at zero, and
+    exactly-constant windows are forced to zero std so the
+    degenerate-distance conventions trigger reliably.
     """
     x = _as_samples(series)
     m = _validate_window(m, x.size)
@@ -322,11 +321,10 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
     """Matrix Profile in O(n^2) time and O(n) auxiliary space.
 
     Equivalent to :func:`matrix_profile_brute` within 1e-6 per element
-    (indices up to distance ties).  It works on the samples minus the first
-    sample, which leaves every distance unchanged but keeps a large common
-    offset out of the dot products, where it would cancel.  ``qt[j]`` tracks
-    dot(window_i, window_j) and is updated incrementally from row to row.
-    Each row is scored with :func:`correlation_scores`, using 1/std
+    (indices up to distance ties).  It runs on the samples minus the first
+    sample, which keeps a large common offset out of the dot products.
+    ``qt[j]`` tracks dot(window_i, window_j), updated incrementally from row
+    to row.  Each row is scored with :func:`correlation_scores`, using 1/std
     and mean/std cached once per call, and only its winner gets a
     :func:`correlation` and a :func:`match_distance`: the same kernel the
     stream uses.

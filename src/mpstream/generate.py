@@ -251,8 +251,7 @@ class FourFaultLayout:
     grid_duration_s: float = 0.1
 
     def faults(self, severity: float = 1.0) -> list[FaultSpec]:
-        """The four faults in order; an invalid one raises ValueError naming
-        the config keys it was built from."""
+        """The four faults in order; an error names the fault's config keys."""
         specs = []
         for kind, key in ((FaultKind.LL_FAULT, "ll"),
                           (FaultKind.THREE_PHASE_SENSOR_FAULT, "sensor"),

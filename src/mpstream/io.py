@@ -15,14 +15,14 @@ digits so outputs are byte-reproducible):
   where a subsequence has no valid neighbor.
 
 Every reader accepts its writer's output and reports malformed rows by file
-line number.  This module is the only one that opens a pipeline file, and
-every failure to read or write one, from a missing file or a directory to
-a full disk, raises :class:`DataError`.
+line number.  Only this module opens a pipeline file, and every failure to
+read or write one raises :class:`DataError`.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def write_dataset(path, dataset: LabeledDataset) -> None:
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Returns (times_s, values, labels)."""
+    """Returns (times_s, values, labels); every number must be finite."""
     times, values, labels = [], [], []
     for lineno, (t, x, label) in _rows(path, DATASET_HEADER):
         try:
@@ -119,6 +119,8 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
             values.append(float(x))
         except ValueError:
             raise DataError(f"{path}: line {lineno}: malformed number") from None
+        if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
+            raise DataError(f"{path}: line {lineno}: non-finite number")
         labels.append(label)
     return np.asarray(times), np.asarray(values), labels
 
@@ -153,12 +155,11 @@ def read_events(path) -> list[DetectionEvent]:
     out = []
     for lineno, (kind, position, value) in _rows(path, EVENTS_HEADER):
         try:
-            event = DetectionEvent(EventKind(kind), int(position), float(value))
+            out.append(DetectionEvent(EventKind(kind), int(position), float(value)))
         except ValueError:
             raise DataError(f"{path}: line {lineno}: malformed event") from None
-        if event.position < 0:
-            raise DataError(f"{path}: line {lineno}: negative position {event.position}")
-        out.append(event)
+        if out[-1].position < 0:
+            raise DataError(f"{path}: line {lineno}: negative position {position}")
     return out
 
 

@@ -52,9 +52,9 @@ class StreamingProfile:
     rolling recurrence; older entries are left as they are until a snapshot
     runs it again on those whose neighbor was evicted.
 
-    Samples are stored minus the first sample of the stream.  That leaves
-    every distance unchanged but keeps a large common offset (a 50 Hz
-    level) out of the running sums and dot products, where it would cancel.
+    Samples are stored minus the first sample, which leaves every distance
+    unchanged but keeps a large common offset (a 50 Hz level) out of the
+    running sums and dot products, where it would cancel.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
@@ -151,10 +151,9 @@ class StreamingProfile:
         l = end - m  # buffer index of the newest subsequence
 
         # Rolling sums of the newest subsequence and its dot products with
-        # every older one.  Every `capacity` appends both are recomputed
-        # from the samples, which bounds cumulative drift: the short-lag
-        # dot products never leave the window, so rounding in their
-        # recurrence would otherwise persist.
+        # every older one, recomputed from the samples every `capacity`
+        # appends: short-lag dot products never leave the window, so their
+        # recurrence rounding would otherwise persist.
         qt = self._qt
         if count == m or count % cap == 0:
             w = buf[l:end]

@@ -126,6 +126,14 @@ class TestDetect:
         bad.write_text("t_s,f_c_hz,label\n0.0,50.0,\n0.0005,not-a-number,\n")
         assert main(["detect", "--out", str(tmp_path / "e.csv"), str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["detect", "profile"])
+    def test_non_finite_sample_is_data_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t_s,f_c_hz,label\n0.0,50.0,\n0.0005,nan,\n0.001,50.1,\n")
+        assert main([command, "--window", "2", "--out", str(tmp_path / "o.csv"),
+                     str(bad)]) == 2
+        assert "line 3: non-finite number" in capsys.readouterr().err
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["detect", str(tmp_path / "nope.csv")]) == 2
 
@@ -238,7 +246,10 @@ class TestEvaluate:
         assert "line 2: negative" in capsys.readouterr().err
 
     def test_negative_length_is_usage_error(self, tmp_path):
-        data, events, truth = self._pipeline(tmp_path)
+        events = tmp_path / "events.csv"
+        events.write_text("kind,position,profile_value\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_idx,end_idx,label\n5,15,x\n")
         assert main(["evaluate", str(events), str(truth), "-5"]) == 1
 
     def test_truth_beyond_length_is_data_error(self, tmp_path):

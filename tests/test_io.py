@@ -53,6 +53,13 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match="line 3"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t_s,f_c_hz,label\n0.0,50.0,\n0.001,{value},\n")
+        with pytest.raises(DataError, match="line 3: non-finite"):
+            read_dataset(path)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n")
