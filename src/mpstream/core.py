@@ -8,9 +8,10 @@ provided: :func:`matrix_profile_brute`, a direct all-pairs reference, and
 incremental sliding dot-product recurrence.  Both share the same degenerate
 conventions for zero-variance (flat) subsequences.
 
-:func:`correlation_scores`, :func:`correlation` and :func:`match_distance`
-are the distance kernel that :func:`matrix_profile` shares with the
-streaming left profile.
+:func:`correlation_scores` and :func:`match_distance` are the distance
+kernel that :func:`matrix_profile` shares with the streaming left profile:
+the first scores every candidate, the second turns the winner's score into
+its distance.
 
 Apart from the buffers :func:`correlation_scores` fills, everything here
 is a pure function of its inputs.
@@ -34,7 +35,6 @@ __all__ = [
     "znorm_distance",
     "sliding_dot_products",
     "correlation_scores",
-    "correlation",
     "match_distance",
     "matrix_profile_brute",
     "matrix_profile",
@@ -226,53 +226,45 @@ def _pair_distance(a: np.ndarray, b: np.ndarray, m: int) -> float:
     return math.sqrt(min(max(d2, 0.0), 4.0 * m))
 
 
-def correlation_scores(qt, mu, sig, inv_stds, means_over_stds, m, out, tmp):
+def correlation_scores(qt, isig, mos, inv_stds, means_over_stds, m, out, tmp):
     """Scores of every candidate against one subsequence; the nearest
     neighbor is their argmax.
 
-    ``qt[j]`` is the dot product of the subsequence (mean ``mu``, std
-    ``sig``) with candidate ``j``, whose ``1/std`` and ``mean/std`` are
-    cached in ``inv_stds[j]`` and ``means_over_stds[j]``; a flat candidate
-    caches 0 in both.  For a non-flat subsequence ``out[j]`` is
-    ``m * sig`` times the Pearson correlation, so a flat candidate scores 0
-    (uncorrelated) without any mask.  A flat subsequence scores 1 against
-    flat candidates and 0 against the rest.  :func:`correlation` gives the
-    winner's correlation under the same rules; ``tmp`` is scratch.
+    ``qt[j]`` is the dot product of the subsequence with candidate ``j``.
+    ``isig`` and ``mos`` are the subsequence's cached ``1/std`` and
+    ``mean/std``, ``inv_stds[j]`` and ``means_over_stds[j]`` the
+    candidate's; a flat subsequence caches 0 in both.  For a non-flat
+    subsequence ``out[j]`` is ``m * std`` times the Pearson correlation, so
+    a flat candidate scores 0 (uncorrelated) without any mask.  A flat
+    subsequence scores 1 against flat candidates (distance 0) and 0
+    against the rest (sqrt(2m)).  ``tmp`` is scratch.
     """
-    if sig == 0.0:
+    if isig == 0.0:
         return np.equal(inv_stds, 0.0, out=out)
     np.multiply(qt, inv_stds, out=out)
-    np.multiply(means_over_stds, m * mu, out=tmp)
+    np.multiply(means_over_stds, m * mos / isig, out=tmp)
     return np.subtract(out, tmp, out=out)
 
 
-def correlation(qt_j, mu, sig, mean_j, std_j, m) -> float:
-    """Pearson correlation, clipped to [-1, 1], of a subsequence (mean
-    ``mu``, std ``sig``) with candidate ``j``, from their dot product
-    ``qt_j``.  The flat-window rule, as in :func:`correlation_scores`: flat
-    against flat correlates fully (distance 0), flat against non-flat not
-    at all (sqrt(2m)).
+def match_distance(x: np.ndarray, m: int, i: int, j: int, score: float,
+                   isig: float) -> float:
+    """Distance between subsequences ``i`` and ``j`` of ``x``, where
+    ``score`` is what :func:`correlation_scores` gave ``j`` against ``i``
+    and ``isig`` is ``1/std`` of ``i`` (0 when flat).
+
+    The correlation is ``score * isig / m``, or ``score`` itself for a flat
+    ``i``.  The dot-product identity loses absolute precision near zero, so
+    matches correlated at least :data:`REFINE_RHO` (a rounded correlation
+    above 1 included) are re-evaluated directly from the samples: every
+    reported profile value then reproduces from its neighbor via
+    :func:`znorm_distance` to 1e-9, even on exact repeats.
     """
-    if sig == 0.0 or std_j == 0.0:
-        return 1.0 if sig == std_j else 0.0
-    rho = (float(qt_j) - float(mean_j) * (m * mu)) / (float(std_j) * (m * sig))
-    return min(max(rho, -1.0), 1.0)
-
-
-def match_distance(x: np.ndarray, m: int, i: int, j: int, rho: float) -> float:
-    """Distance between subsequences ``i`` and ``j`` of ``x`` whose
-    correlation from :func:`correlation` is ``rho``.
-
-    The dot-product identity loses absolute precision near zero, so matches
-    correlated at least :data:`REFINE_RHO` are re-evaluated directly from
-    the samples: every reported profile value then reproduces from its
-    neighbor via :func:`znorm_distance` to 1e-9, even on exact repeats.
-    """
+    rho = float(score) * isig / m if isig else float(score)
     two_m = 2.0 * m
     d2 = two_m * (1.0 - rho)
     if d2 <= (1.0 - REFINE_RHO) * two_m:
         return _pair_distance(x[i:i + m], x[j:j + m], m)
-    return math.sqrt(d2)
+    return math.sqrt(min(d2, 4.0 * m))
 
 
 def matrix_profile_brute(series, m: int, exclusion_radius: int | None = None) -> MatrixProfile:
@@ -325,9 +317,8 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
     sample, which keeps a large common offset out of the dot products.
     ``qt[j]`` tracks dot(window_i, window_j), updated incrementally from row
     to row.  Each row is scored with :func:`correlation_scores`, using 1/std
-    and mean/std cached once per call, and only its winner gets a
-    :func:`correlation` and a :func:`match_distance`: the same kernel the
-    stream uses.
+    and mean/std cached once per call, and only its winner's score goes on
+    to :func:`match_distance`: the same kernel the stream uses.
 
     Parameters
     ----------
@@ -370,13 +361,13 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
             np.multiply(x_new, x[i + m - 1], out=t_head)
             np.add(s_head, t_head, out=qt[1:])
             qt[0] = qt_row0[i]
-        mu, sig = float(means[i]), float(stds[i])
-        correlation_scores(qt, mu, sig, inv_stds, means_over_stds, m, score, tmp)
+        isig = float(inv_stds[i])
+        correlation_scores(qt, isig, means_over_stds[i], inv_stds, means_over_stds,
+                           m, score, tmp)
         score[max(0, i - r):min(p, i + r + 1)] = -np.inf
         j = int(score.argmax())
         if score[j] > -np.inf:
-            rho = correlation(qt[j], mu, sig, means[j], stds[j], m)
-            distances[i] = match_distance(x, m, i, j, rho)
+            distances[i] = match_distance(x, m, i, j, score[j], isig)
             indices[i] = j
     return MatrixProfile(distances=distances, indices=indices, m=m)
 

@@ -66,13 +66,15 @@ class AnomalySegment:
 class DetectorConfig:
     """Tunables of the detection filter chain.
 
-    A finite ``threshold_value`` is used as the threshold directly; None
-    (the default) calibrates it as the ``quantile_q`` quantile of profile
-    values.  The first ``warmup`` samples are ignored outright; this hides
-    the stream's own warm-up transient, where the window holds few candidate
-    subsequences and even normal profile values run high.  When calibrating,
-    the next ``calibration_len`` profile values are then collected, and
-    detection begins once calibration completes.
+    A finite, positive ``threshold_value`` is used as the threshold
+    directly (profile values are >= 0, so a threshold <= 0 could start an
+    event but never end one); None (the default) calibrates it as the
+    ``quantile_q`` quantile of profile values.  The first ``warmup``
+    samples are ignored outright; this hides the stream's own warm-up
+    transient, where the window holds few candidate subsequences and even
+    normal profile values run high.  When calibrating, the next
+    ``calibration_len`` profile values are then collected, and detection
+    begins once calibration completes.
     """
 
     threshold_value: float | None = None
@@ -85,8 +87,9 @@ class DetectorConfig:
     warmup: int = 2000
 
     def __post_init__(self):
-        if self.threshold_value is not None and not math.isfinite(self.threshold_value):
-            raise ValueError("threshold_value must be finite, or None to calibrate")
+        t = self.threshold_value
+        if t is not None and not (math.isfinite(t) and t > 0.0):
+            raise ValueError("threshold_value must be finite and > 0, or None to calibrate")
         if not 0.0 < self.quantile_q < 1.0:
             raise ValueError("quantile_q must lie in (0, 1)")
         if self.calibration_len < 1:

@@ -147,31 +147,6 @@ def generate_base(config: GeneratorConfig) -> TimeSeries:
     return TimeSeries(samples=samples, sample_rate_hz=config.sample_rate_hz)
 
 
-def _fault_delta(kind: FaultKind, n_seg: int, t_rel: np.ndarray, duration_s: float,
-                 config: GeneratorConfig, severity: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Additive disturbance over the fault interval (kinds that add)."""
-    if kind is FaultKind.LL_FAULT:
-        amp = LL_AMPLITUDE_HZ * severity
-        tau = duration_s / 4.0
-        f_osc = LL_OSC_FREQ_FACTOR * config.nominal_freq_hz
-        return amp * np.exp(-t_rel / tau) * np.sin(2.0 * np.pi * f_osc * t_rel)
-    if kind is FaultKind.SINGLE_PHASE_VOLTAGE_SAG:
-        amp = SAG_DEPTH_HZ * severity
-        window = 0.5 * (1.0 - np.cos(2.0 * np.pi * t_rel / duration_s))
-        return -amp * window
-    if kind is FaultKind.THREE_PHASE_GRID_FAULT:
-        # Step excursion with extra measurement noise on top of the base
-        # noise; the combined std reaches GRID_NOISE_FACTOR * noise_std at
-        # severity 1.
-        delta = np.full(n_seg, -GRID_STEP_HZ * severity)
-        extra = config.noise_std * np.sqrt(GRID_NOISE_FACTOR ** 2 - 1.0) * severity
-        if extra > 0:
-            delta += rng.normal(0.0, extra, n_seg)
-        return delta
-    raise ValueError(f"not an additive fault kind: {kind}")
-
-
 def inject_fault(base: TimeSeries, fault: FaultSpec, config: GeneratorConfig,
                  seed: int = 0) -> LabeledDataset:
     """Inject one fault into ``base`` and return the labeled result.
@@ -195,10 +170,23 @@ def inject_fault(base: TimeSeries, fault: FaultSpec, config: GeneratorConfig,
     kind = fault.kind
 
     if sev > 0.0:
-        if kind in (FaultKind.LL_FAULT, FaultKind.SINGLE_PHASE_VOLTAGE_SAG,
-                    FaultKind.THREE_PHASE_GRID_FAULT):
-            x[s:e] += _fault_delta(kind, e - s, t_rel, fault.duration_s,
-                                   config, sev, rng)
+        if kind is FaultKind.LL_FAULT:
+            tau = fault.duration_s / 4.0
+            f_osc = LL_OSC_FREQ_FACTOR * config.nominal_freq_hz
+            x[s:e] += (LL_AMPLITUDE_HZ * sev * np.exp(-t_rel / tau)
+                       * np.sin(2.0 * np.pi * f_osc * t_rel))
+        elif kind is FaultKind.SINGLE_PHASE_VOLTAGE_SAG:
+            window = 0.5 * (1.0 - np.cos(2.0 * np.pi * t_rel / fault.duration_s))
+            x[s:e] -= SAG_DEPTH_HZ * sev * window
+        elif kind is FaultKind.THREE_PHASE_GRID_FAULT:
+            # Step excursion with extra measurement noise on top of the base
+            # noise; the combined std reaches GRID_NOISE_FACTOR * noise_std
+            # at severity 1.
+            delta = np.full(e - s, -GRID_STEP_HZ * sev)
+            extra = config.noise_std * np.sqrt(GRID_NOISE_FACTOR ** 2 - 1.0) * sev
+            if extra > 0:
+                delta += rng.normal(0.0, extra, e - s)
+            x[s:e] += delta
         elif kind is FaultKind.THREE_PHASE_SENSOR_FAULT:
             x[s:e] = x[s - 1]
         elif kind is FaultKind.POINT_OUTLIER:

@@ -111,7 +111,8 @@ def write_dataset(path, dataset: LabeledDataset) -> None:
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Returns (times_s, values, labels); every number must be finite."""
+    """Returns (times_s, values, labels); every number must be finite, and
+    there must be at least one sample."""
     times, values, labels = [], [], []
     for lineno, (t, x, label) in _rows(path, DATASET_HEADER):
         try:
@@ -122,6 +123,8 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
         if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
             raise DataError(f"{path}: line {lineno}: non-finite number")
         labels.append(label)
+    if not values:
+        raise DataError(f"{path}: no samples")
     return np.asarray(times), np.asarray(values), labels
 
 

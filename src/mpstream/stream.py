@@ -24,7 +24,6 @@ from mpstream.core import (
     SENTINEL_INDEX,
     MatrixProfile,
     _validate_radius,
-    correlation,
     correlation_scores,
     match_distance,
 )
@@ -45,12 +44,13 @@ class StreamingProfile:
         Trivial-match half-width, default ``ceil(m/4)``.
 
     One neighbor search scores a subsequence with the batch profile's kernel
-    (:func:`~mpstream.core.correlation_scores`,
-    :func:`~mpstream.core.correlation`, :func:`~mpstream.core.match_distance`),
-    using 1/std and mean/std cached once per subsequence when it arrives.
-    An append runs it on the newest subsequence with the dot products of the
-    rolling recurrence; older entries are left as they are until a snapshot
-    runs it again on those whose neighbor was evicted.
+    (:func:`~mpstream.core.correlation_scores`, then
+    :func:`~mpstream.core.match_distance` on the winner's score), using
+    1/std and mean/std: the only per-subsequence statistics kept, cached
+    once when the subsequence arrives.  An append runs it on the newest
+    subsequence with the dot products of the rolling recurrence; older
+    entries are left as they are until a snapshot runs it again, from the
+    same caches, on those whose neighbor was evicted.
 
     Samples are stored minus the first sample, which leaves every distance
     unchanged but keeps a large common offset (a 50 Hz level) out of the
@@ -77,14 +77,12 @@ class StreamingProfile:
         size = 2 * capacity
         self._buf = np.empty(size)
         self._qt = np.empty(size)
-        self._mu = np.empty(size)
-        self._sig = np.empty(size)
         self._isig = np.empty(size)  # 1/sig, 0 for a flat subsequence
         self._mos = np.empty(size)   # mu/sig, 0 for a flat subsequence
         self._dist = np.empty(size)
         self._nn = np.empty(size, dtype=np.int64)
-        self._t1 = np.empty(size)  # scratch: avoids per-append allocation
-        self._t2 = np.empty(size)
+        self._t1 = np.empty(capacity)  # scratch: avoids per-append allocation
+        self._t2 = np.empty(capacity)
         self._start = 0          # buffer index of the oldest retained sample
         self._end = 0            # one past the newest sample
         self._offset = 0         # absolute stream position of buf[0]
@@ -109,8 +107,7 @@ class StreamingProfile:
         self._buf[:keep] = self._buf[s:e]
         nsub = keep - m + 1
         if nsub > 0:
-            for arr in (self._qt, self._mu, self._sig, self._isig, self._mos,
-                        self._dist, self._nn):
+            for arr in (self._qt, self._isig, self._mos, self._dist, self._nn):
                 arr[:nsub] = arr[s:s + nsub]
         self._offset += s
         self._start = 0
@@ -179,8 +176,6 @@ class StreamingProfile:
         if var < 0.0 or self._equal_run >= m:
             var = 0.0
         sig = math.sqrt(var)
-        self._mu[l] = mu
-        self._sig[l] = sig
         if sig == 0.0:
             self._isig[l] = self._mos[l] = 0.0
         else:
@@ -210,13 +205,12 @@ class StreamingProfile:
         # value re-evaluated directly so every reported distance reproduces
         # from its neighbor to 1e-9 even on exactly repeating inputs.
         k = hi - start
-        mu, sig = float(self._mu[o]), float(self._sig[o])
-        score = correlation_scores(qt[:k], mu, sig, self._isig[start:hi],
+        isig = float(self._isig[o])
+        score = correlation_scores(qt[:k], isig, self._mos[o], self._isig[start:hi],
                                    self._mos[start:hi], m, self._t1[:k], self._t2[:k])
         i = int(score.argmax())
         j = start + i
-        d = match_distance(buf, m, o, j,
-                           correlation(qt[i], mu, sig, self._mu[j], self._sig[j], m))
+        d = match_distance(buf, m, o, j, score[i], isig)
         nn = self._offset + j
         self._dist[o] = d
         self._nn[o] = nn

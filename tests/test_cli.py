@@ -126,13 +126,19 @@ class TestDetect:
         bad.write_text("t_s,f_c_hz,label\n0.0,50.0,\n0.0005,not-a-number,\n")
         assert main(["detect", "--out", str(tmp_path / "e.csv"), str(bad)]) == 2
 
-    @pytest.mark.parametrize("command", ["detect", "profile"])
-    def test_non_finite_sample_is_data_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, rows, message", [
+        (command, rows, message) for rows, message in (
+            ("0.0,50.0,\n0.0005,nan,\n0.001,50.1,\n", "line 3: non-finite number"),
+            ("", "no samples"))  # a header with no rows
+        for command in ("detect", "profile")],
+        ids=["detect", "profile", "detect-header-only", "profile-header-only"])
+    def test_non_finite_sample_is_data_error(self, tmp_path, capsys, command,
+                                             rows, message):
         bad = tmp_path / "bad.csv"
-        bad.write_text("t_s,f_c_hz,label\n0.0,50.0,\n0.0005,nan,\n0.001,50.1,\n")
+        bad.write_text("t_s,f_c_hz,label\n" + rows)
         assert main([command, "--window", "2", "--out", str(tmp_path / "o.csv"),
                      str(bad)]) == 2
-        assert "line 3: non-finite number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["detect", str(tmp_path / "nope.csv")]) == 2
@@ -155,7 +161,11 @@ class TestDetect:
         ([], {"capacity": 10}),
         ([], {"exclusion_radius": -1}),
         ([], {"window": "abc"}),
-    ], ids=["window-flag-1", "capacity-10", "negative-radius", "window-abc"])
+        # Profile values are >= 0: a threshold of 0 starts an event that
+        # never ends.
+        ([], {"threshold_value": 0.0}),
+    ], ids=["window-flag-1", "capacity-10", "negative-radius", "window-abc",
+            "threshold-0"])
     def test_bad_stream_parameters_are_config_errors(self, tmp_path, capsys,
                                                      flags, overrides):
         small = {**SMALL, "duration_s": 0.2, "fault_start_s": 0.1,

@@ -8,7 +8,6 @@ from mpstream.core import (
     REFINE_RHO,
     SENTINEL_INDEX,
     TimeSeries,
-    correlation,
     correlation_scores,
     default_exclusion_radius,
     discords,
@@ -187,23 +186,22 @@ class TestCorrelationKernel:
         for i in range(p):
             qt = sliding_dot_products(w[i], x)
             with np.errstate(all="raise"):  # flat pairs never divide by 0
-                correlation_scores(qt, means[i], stds[i], inv, mos, m, score, tmp)
-                rho = np.array([correlation(qt[j], means[i], stds[i], means[j], stds[j], m)
-                                for j in range(p)])
-            assert ((rho >= -1.0) & (rho <= 1.0)).all()
-            d2 = 2.0 * m * (1.0 - rho)
+                correlation_scores(qt, inv[i], mos[i], inv, mos, m, score, tmp)
+                d = np.array([match_distance(x, m, i, j, score[j], inv[i])
+                              for j in range(p)])
             for j in range(p):
                 seen.add((bool(flat[i]), bool(flat[j])))
                 direct = znorm_distance(w[i], w[j])
                 if flat[i] and flat[j]:
-                    assert d2[j] == 0.0 and direct == 0.0 and score[j] == 1.0
+                    assert d[j] == 0.0 and direct == 0.0 and score[j] == 1.0
                 elif flat[i] or flat[j]:
-                    assert math.sqrt(d2[j]) == direct == math.sqrt(2.0 * m)
+                    assert d[j] == direct == math.sqrt(2.0 * m)
                     assert score[j] == 0.0
                 else:
-                    assert d2[j] == pytest.approx(direct ** 2, abs=1e-8), (i, j)
+                    assert d[j] == pytest.approx(direct, abs=1e-8), (i, j)
                     # The score is the correlation scaled by m * sigma_i.
-                    assert score[j] / (m * stds[i]) == pytest.approx(rho[j], abs=1e-8)
+                    rho = 1.0 - direct ** 2 / (2.0 * m)
+                    assert score[j] / (m * stds[i]) == pytest.approx(rho, abs=1e-8)
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_argmax_of_scores_is_the_nearest_neighbor(self):
@@ -217,7 +215,7 @@ class TestCorrelationKernel:
         score, tmp = np.empty(p), np.empty(p)
         for i in range(p):
             qt = sliding_dot_products(w[i], x)
-            correlation_scores(qt, means[i], stds[i], inv, mos, m, score, tmp)
+            correlation_scores(qt, inv[i], mos[i], inv, mos, m, score, tmp)
             score[max(0, i - r):i + r + 1] = -np.inf
             j = int(score.argmax())
             direct = [znorm_distance(w[i], w[k]) if abs(i - k) > r else np.inf
@@ -231,10 +229,16 @@ class TestCorrelationKernel:
         direct = znorm_distance(x[i:i + m], x[j:j + m])
         cut = math.sqrt(2.0 * m * (1.0 - REFINE_RHO))
         assert abs(direct - cut) > 0.1  # the two answers are distinguishable
-        for rho in (REFINE_RHO, 0.995, 1.0):
-            assert match_distance(x, m, i, j, rho) == direct
-        for rho in (float(np.nextafter(REFINE_RHO, 0.0)), 0.5, -1.0):
-            assert match_distance(x, m, i, j, rho) == math.sqrt(2.0 * m * (1.0 - rho))
+        # The correlation is score * isig / m (exact here: m is a power of
+        # two), or the score itself when the query is flat (isig == 0).
+        for isig, scale in ((0.25, 4.0 * m), (0.0, 1.0)):
+            for rho in (REFINE_RHO, 0.995, 1.0, 1.0 + 1e-12):
+                assert match_distance(x, m, i, j, rho * scale, isig) == direct
+            for rho in (float(np.nextafter(REFINE_RHO, 0.0)), 0.5, -1.0):
+                assert (match_distance(x, m, i, j, rho * scale, isig)
+                        == math.sqrt(2.0 * m * (1.0 - rho)))
+            # A rounded correlation below -1 is clipped to the maximum distance.
+            assert match_distance(x, m, i, j, -1.5 * scale, isig) == 2.0 * math.sqrt(m)
 
 
 class TestSlidingDotProducts:
@@ -477,16 +481,18 @@ class TestOffsetRobustness:
             got = np.array(stream_trace(g + b, self.M, 1024)[warm:])
             assert np.abs(got - stream).max() <= 1e-9, b
 
-    @pytest.mark.parametrize("lo, hi", [(0, 3000), (39000, 41500)],
-                             ids=["start", "plateau"])
+    # The grid slice holds the -2 Hz level shift, where mean/std of a
+    # window reaches ~130 and the kernel's cancellation is at its worst.
+    @pytest.mark.parametrize("lo, hi", [(0, 3000), (39000, 41500), (79000, 81500)],
+                             ids=["start", "plateau", "grid"])
     def test_batch_matches_brute_on_the_default_channel(self, lo, hi):
         x = default_channel()[lo:hi]
         err = np.abs(matrix_profile(x, self.M).distances
                      - matrix_profile_brute(x, self.M).distances).max()
         assert err <= 1e-6
 
-    @pytest.mark.parametrize("lo, hi", [(0, 3000), (39000, 41500)],
-                             ids=["start", "plateau"])
+    @pytest.mark.parametrize("lo, hi", [(0, 3000), (39000, 41500), (79000, 81500)],
+                             ids=["start", "plateau", "grid"])
     @pytest.mark.parametrize("capacity", [None, 1024], ids=["no-eviction", "cap1024"])
     def test_stream_matches_oracle_on_the_default_channel(self, lo, hi, capacity):
         x = default_channel()[lo:hi]

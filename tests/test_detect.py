@@ -36,8 +36,9 @@ class TestDetectorConfig:
             DetectorConfig(quantile_q=1.0)
 
     def test_fixed_requires_value(self):
-        # A fixed threshold must be finite; None calibrates one instead.
-        for bad in (float("nan"), float("inf"), -float("inf")):
+        # A fixed threshold must be finite and positive; None calibrates
+        # one instead.
+        for bad in (float("nan"), float("inf"), -float("inf"), -1.0, 0.0):
             with pytest.raises(ValueError):
                 DetectorConfig(threshold_value=bad)
         assert AnomalyDetector(config=DetectorConfig()).threshold is None

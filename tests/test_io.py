@@ -138,9 +138,10 @@ class TestReportRoundTrip:
 class TestEmptyFiles:
     def test_empty_dataset_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(DataError):
-            read_dataset(path)
+        for text in ("", "t_s,f_c_hz,label\n"):  # no header; no rows
+            path.write_text(text)
+            with pytest.raises(DataError):
+                read_dataset(path)
 
     def test_empty_events_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
