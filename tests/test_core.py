@@ -198,6 +198,7 @@ class TestCorrelationKernel:
                     assert d[j] == direct == math.sqrt(2.0 * m)
                     assert score[j] == 0.0
                 else:
+                    assert d[j] ** 2 == pytest.approx(direct ** 2, abs=1e-8), (i, j)
                     assert d[j] == pytest.approx(direct, abs=1e-8), (i, j)
                     # The score is the correlation scaled by m * sigma_i.
                     rho = 1.0 - direct ** 2 / (2.0 * m)
