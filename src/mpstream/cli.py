@@ -158,9 +158,12 @@ def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
         raise ConfigError(str(exc)) from exc
     events = []
     trace = []
-    for x in values:
-        events.extend(detector.step(float(x)))
-        trace.append(detector.last_profile)
+    try:
+        for x in values:
+            events.extend(detector.step(float(x)))
+            trace.append(detector.last_profile)
+    except ValueError as exc:
+        raise DataError(f"{in_path}: {exc}") from exc
     if detector.threshold is None:
         log.warning("input shorter than warm-up + calibration; no detection performed")
     profile_path = _sidecar(out, ".profile.csv")
@@ -245,18 +248,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_input=False):
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
-        p.add_argument("--seed", type=int, metavar="N", help="override the config seed")
-        p.add_argument("--window", type=int, metavar="M", help="override the window size")
         p.add_argument("--out", metavar="PATH", help="output path")
         if with_input:
+            p.add_argument("--window", type=int, metavar="M",
+                           help="override the window size")
             p.add_argument("input", nargs="?",
                            help="input dataset CSV (default: the config's input key)")
 
     p_gen = sub.add_parser("generate", help="write a labeled synthetic dataset")
     common(p_gen)
+    p_gen.add_argument("--seed", type=int, metavar="N", help="override the config seed")
 
     p_det = sub.add_parser("detect", help="stream a dataset through the detector")
     common(p_det, with_input=True)
+    # Kept for callers that pass generate's seed to detect as well.
+    p_det.add_argument("--seed", type=int, metavar="N",
+                       help="ignored: detection draws no random numbers")
 
     p_eval = sub.add_parser("evaluate", help="score detected events against truth")
     p_eval.add_argument("events", help="events CSV from detect")
@@ -285,13 +292,13 @@ def main(argv=None) -> int:
             return cmd_evaluate(Path(args.events), Path(args.truth),
                                 args.length, out)
         cfg = RunConfig.load(args.config)
-        if args.seed is not None:
-            cfg.generator = replace(cfg.generator, seed=args.seed)
-        if args.window is not None:
-            cfg.window = args.window
         if args.command == "generate":
+            if args.seed is not None:
+                cfg.generator = replace(cfg.generator, seed=args.seed)
             out = Path(args.out or cfg.out or "dataset.csv")
             return cmd_generate(cfg, out)
+        if args.window is not None:
+            cfg.window = args.window
         input_arg = args.input or cfg.input
         if not input_arg:
             raise ConfigError("missing input path")
@@ -299,10 +306,8 @@ def main(argv=None) -> int:
         if args.command == "detect":
             out = Path(args.out or cfg.out or "events.csv")
             return cmd_detect(cfg, in_path, out)
-        if args.command == "profile":
-            out = Path(args.out or cfg.out or "profile.csv")
-            return cmd_profile(cfg, in_path, out)
-        raise ConfigError(f"unknown command {args.command}")
+        out = Path(args.out or cfg.out or "profile.csv")
+        return cmd_profile(cfg, in_path, out)
     except ConfigError as exc:
         print(f"mpstream: error: {exc}", file=sys.stderr)
         return 1

@@ -74,7 +74,9 @@ class DetectorConfig:
     transient, where the window holds few candidate subsequences and even
     normal profile values run high.  When calibrating, the next
     ``calibration_len`` profile values are then collected, and detection
-    begins once calibration completes.
+    begins once calibration completes.  A calibrated quantile that is not
+    > 0 (a flat calibration stretch) is a ValueError from
+    :meth:`AnomalyDetector.step`.
     """
 
     threshold_value: float | None = None
@@ -206,8 +208,16 @@ class AnomalyDetector:
             # until enough are collected, then detect from the next value on.
             self._calibration.append(value)
             if len(self._calibration) >= self.config.calibration_len:
-                self.threshold = calibrate_threshold(self._calibration,
-                                                     self.config.quantile_q)
+                threshold = calibrate_threshold(self._calibration,
+                                                self.config.quantile_q)
+                if not threshold > 0.0:
+                    # A chain at threshold 0 opens an event it cannot close.
+                    raise ValueError(
+                        f"calibrated threshold is {threshold:g}: the calibration "
+                        f"stretch ending at sample {sample_index} is flat; set "
+                        "threshold_value, or move warmup or calibration_len "
+                        "past the flat stretch")
+                self.threshold = threshold
                 self._chain = FilterChain(self.threshold, self.config)
                 self._calibration = []
             return []

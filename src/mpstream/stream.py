@@ -7,11 +7,12 @@ subsequence's left-profile value, which is what a causal detector consumes:
 the stream never looks at samples that have not arrived yet.
 
 Memory is O(capacity) regardless of how many samples are ingested; the
-oldest sample is evicted once the window is full and profile entries whose
-subsequences slid out are discarded.  Entries whose recorded neighbor was
-evicted are searched again against the current window when a snapshot is
-taken, so a snapshot never reports a distance to a subsequence that is gone.
-One neighbor search serves both the append and that snapshot pass.
+oldest sample is evicted once the window is full.  The stream keeps no
+profile history: one neighbor search, run by the append, yields each value.
+A snapshot replays the retained window through a fresh stream, so it is the
+left profile of that window by construction and never reports a distance to
+a subsequence that is gone; it costs about as much as appending the window
+again.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ class StreamingProfile:
     :func:`~mpstream.core.match_distance` on the winner's score), using
     1/std and mean/std: the only per-subsequence statistics kept, cached
     once when the subsequence arrives.  An append runs it on the newest
-    subsequence with the dot products of the rolling recurrence; older
-    entries are left as they are until a snapshot runs it again, from the
-    same caches, on those whose neighbor was evicted.
+    subsequence with the dot products of the rolling recurrence, and that
+    is the only search: past values are not stored.  :meth:`profile`
+    rebuilds them by replaying the retained samples.
 
     Samples are stored minus the first sample, which leaves every distance
     unchanged but keeps a large common offset (a 50 Hz level) out of the
@@ -79,8 +80,6 @@ class StreamingProfile:
         self._qt = np.empty(size)
         self._isig = np.empty(size)  # 1/sig, 0 for a flat subsequence
         self._mos = np.empty(size)   # mu/sig, 0 for a flat subsequence
-        self._dist = np.empty(size)
-        self._nn = np.empty(size, dtype=np.int64)
         self._t1 = np.empty(capacity)  # scratch: avoids per-append allocation
         self._t2 = np.empty(capacity)
         self._start = 0          # buffer index of the oldest retained sample
@@ -107,7 +106,7 @@ class StreamingProfile:
         self._buf[:keep] = self._buf[s:e]
         nsub = keep - m + 1
         if nsub > 0:
-            for arr in (self._qt, self._isig, self._mos, self._dist, self._nn):
+            for arr in (self._qt, self._isig, self._mos):
                 arr[:nsub] = arr[s:s + nsub]
         self._offset += s
         self._start = 0
@@ -183,24 +182,19 @@ class StreamingProfile:
             self._mos[l] = mu / sig
         return self._search(l, qt[start:])
 
-    def _search(self, o: int, qt: np.ndarray | None = None):
+    def _search(self, o: int, qt: np.ndarray):
         """Nearest left neighbor of the subsequence at buffer index ``o``
         among the retained ones outside its exclusion zone.
 
         ``qt[i]`` is its dot product with the subsequence at buffer index
-        ``start + i``; it is computed here when not given.  Stores and
-        returns ``(distance, neighbor_position)``, or stores the sentinel
-        and returns None when no candidate is left.
+        ``start + i``.  Returns ``(distance, neighbor_position)``, or None
+        when no candidate is left.
         """
         m, start = self.m, self._start
         hi = o - self.exclusion_radius  # candidates are buffer indices [start, hi)
         if hi <= start:
-            self._dist[o] = np.inf
-            self._nn[o] = SENTINEL_INDEX
             return None
         buf = self._buf
-        if qt is None:
-            qt = np.correlate(buf[start:hi + m - 1], buf[o:o + m], mode="valid")
         # The identity steers the search; near-duplicate matches get their
         # value re-evaluated directly so every reported distance reproduces
         # from its neighbor to 1e-9 even on exactly repeating inputs.
@@ -210,34 +204,22 @@ class StreamingProfile:
                                    self._mos[start:hi], m, self._t1[:k], self._t2[:k])
         i = int(score.argmax())
         j = start + i
-        d = match_distance(buf, m, o, j, score[i], isig)
-        nn = self._offset + j
-        self._dist[o] = d
-        self._nn[o] = nn
-        return d, nn
+        return match_distance(buf, m, o, j, score[i], isig), self._offset + j
 
     def profile(self) -> MatrixProfile:
         """Snapshot of the left profile over the retained window.
 
-        Positions are window-relative: index 0 is the oldest retained
-        subsequence, and neighbor indices are re-based the same way.  Stale
-        entries (recorded neighbor evicted) are searched again first, so
-        every reported neighbor is inside the window.  The snapshot is a copy and
-        is unaffected by later appends.
+        Replays the retained samples through a fresh stream of the same
+        shape and collects its append outputs, so every reported neighbor is
+        inside the window; the cost is about that of appending the window
+        again.  Positions are window-relative: index 0 is the oldest
+        retained subsequence.  The snapshot is a copy and is unaffected by
+        later appends.
         """
         m = self.m
-        if self.n_retained < m:
-            return MatrixProfile(distances=np.empty(0),
-                                 indices=np.empty(0, dtype=np.int64), m=m)
-        start = self._start
-        last = self._end - m
-        window_start_abs = self._offset + start
-        live = self._nn[start:last + 1]
-        stale = np.flatnonzero((live >= 0) & (live < window_start_abs))
-        for o in stale + start:
-            self._search(int(o))
-        distances = self._dist[start:last + 1].copy()
-        nn = self._nn[start:last + 1].copy()
-        valid = nn != SENTINEL_INDEX
-        nn[valid] -= window_start_abs
-        return MatrixProfile(distances=distances, indices=nn, m=m)
+        replay = StreamingProfile(m, self.capacity, self.exclusion_radius)
+        out = [replay.append(x) for x in self._buf[self._start:self._end]][m - 1:]
+        distances = np.array([np.inf if r is None else r[0] for r in out])
+        indices = np.array([SENTINEL_INDEX if r is None else r[1] for r in out],
+                           dtype=np.int64)
+        return MatrixProfile(distances=distances, indices=indices, m=m)

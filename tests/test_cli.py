@@ -5,6 +5,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mpstream
@@ -139,6 +140,20 @@ class TestDetect:
         assert main([command, "--window", "2", "--out", str(tmp_path / "o.csv"),
                      str(bad)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_flat_calibration_stretch_is_data_error(self, tmp_path, capsys):
+        noise = np.random.default_rng(1).normal(0, 0.01, 300)
+        rows = [50.0] * 600 + (50.0 + noise).tolist()
+        data = tmp_path / "flat.csv"
+        data.write_text("t_s,f_c_hz,label\n" + "".join(
+            f"{i * 0.0005!r},{v!r},\n" for i, v in enumerate(rows)))
+        cfg = write_config(tmp_path, warmup=0, calibration_len=300, window=16,
+                           capacity=256)
+        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "e.csv"),
+                     str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mpstream: error: ") and err.count("\n") == 1
+        assert "calibrated threshold" in err
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["detect", str(tmp_path / "nope.csv")]) == 2
@@ -320,8 +335,13 @@ class TestInterface:
         assert main(["bogus"]) == 1
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_unknown_flag_is_usage_error(self):
-        assert main(["detect", "--threads", "2", "d.csv"]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--threads", "2", "d.csv"],
+        ["generate", "--window", "7"],
+        ["profile", "--seed", "9", "d.csv"],
+    ], ids=["detect-threads", "generate-window", "profile-seed"])
+    def test_unknown_flag_is_usage_error(self, argv):
+        assert main(argv) == 1
 
     def test_bad_argument_type_is_usage_error(self):
         assert main(["evaluate", "a.csv", "b.csv", "x"]) == 1

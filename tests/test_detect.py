@@ -270,6 +270,19 @@ class TestAnomalyDetector:
         assert events == []
         assert det.threshold is not None
 
+    def test_flat_calibration_stretch_is_an_error(self):
+        # Every calibration subsequence is flat, so the quantile is 0; a
+        # chain at threshold 0 would open an event that never closes.
+        x = np.concatenate([np.full(600, 50.0),
+                            50.0 + rng(1).normal(0, 0.01, 300)])
+        cfg = DetectorConfig(warmup=0, calibration_len=300)
+        det = AnomalyDetector(m=16, config=cfg, capacity=256)
+        with pytest.raises(ValueError, match="threshold_value") as exc:
+            det.process(x)
+        for way_out in ("warmup", "calibration_len"):
+            assert way_out in str(exc.value)
+        assert det.threshold is None and det._chain is None
+
     def test_warmup_emits_nothing_fixed_mode(self):
         x = sine_with_spike(n=300, spike_at=100)
         cfg = DetectorConfig(threshold_value=0.01,

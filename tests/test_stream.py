@@ -100,11 +100,16 @@ class TestSnapshot:
         m, r = 6, 1
         x = rng(33).normal(size=120)
         sp = StreamingProfile(m, capacity=256, exclusion_radius=r)
-        feed(sp, x)
+        out = feed(sp, x)[m - 1:]
         snap = sp.profile()
         nd, ni = naive_left_profile(list(x), m, r)
         assert np.allclose(snap.distances, nd, atol=1e-9)
         assert np.array_equal(snap.indices, ni)
+        # Without eviction the snapshot is exactly what the appends returned.
+        assert np.array_equal(snap.distances,
+                              [np.inf if o is None else o[0] for o in out])
+        assert np.array_equal(snap.indices,
+                              [SENTINEL_INDEX if o is None else o[1] for o in out])
 
     def test_snapshot_is_immutable_copy(self):
         sp = StreamingProfile(4, capacity=32, exclusion_radius=1)
