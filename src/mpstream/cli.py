@@ -51,12 +51,18 @@ class ConfigError(Exception):
     """Invalid configuration or usage."""
 
 
-def _check_type(key: str, value, annotation) -> None:
-    """Reject a JSON value that the field annotation does not admit.  A JSON
-    integer fits a float field; a boolean fits no numeric field."""
+def _typed_value(key: str, value, annotation):
+    """Return a JSON value as the field annotation admits it, or raise.  A
+    JSON integer fits a float field if it fits a float, and is returned as
+    one; a boolean fits no numeric field."""
     allowed = typing.get_args(annotation) or (annotation,)
-    if type(value) in allowed or (type(value) is int and float in allowed):
-        return
+    if type(value) in allowed:
+        return value
+    if type(value) is int and float in allowed:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
     expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
     raise ConfigError(f"config key {key!r}: expected {expected}, "
                       f"got {_JSON_TYPE_NAMES[type(value)]}")
@@ -110,8 +116,7 @@ class RunConfig:
         kwargs = {part: {} for part in (None, *_PARTS)}
         for key, value in doc.items():
             part, annotation = routes[key]
-            _check_type(key, value, annotation)
-            kwargs[part][key] = value
+            kwargs[part][key] = _typed_value(key, value, annotation)
         try:
             parts = {part: owner(**kwargs[part]) for part, owner in _PARTS.items()}
         except ValueError as exc:

@@ -202,7 +202,7 @@ def inject_fault(base: TimeSeries, fault: FaultSpec, config: GeneratorConfig,
             # Swap the ripple for one at a multiple of its frequency; the
             # interval blends old ripple out by severity.
             f_r = RIPPLE_FREQ_FACTOR * config.nominal_freq_hz
-            old = config.ripple_amplitude_hz * np.sin(2.0 * np.pi * f_r * t[s:e])
+            old = _ripple(config, t[s:e])
             new = config.ripple_amplitude_hz * np.sin(
                 2.0 * np.pi * SEASONAL_FREQ_FACTOR * f_r * t[s:e])
             x[s:e] += sev * (new - old)

@@ -8,11 +8,11 @@ the stream never looks at samples that have not arrived yet.
 
 Memory is O(capacity) regardless of how many samples are ingested; the
 oldest sample is evicted once the window is full.  The stream keeps no
-profile history: one neighbor search, run by the append, yields each value.
-A snapshot replays the retained window through a fresh stream, so it is the
-left profile of that window by construction and never reports a distance to
-a subsequence that is gone; it costs about as much as appending the window
-again.
+profile history: each append runs the neighbor search inline and returns
+its value.  A snapshot replays the retained window through a fresh stream,
+so it is the left profile of that window by construction and never reports
+a distance to a subsequence that is gone; it costs about as much as
+appending the window again.
 """
 
 from __future__ import annotations
@@ -44,14 +44,14 @@ class StreamingProfile:
     exclusion_radius : int, optional
         Trivial-match half-width, default ``ceil(m/4)``.
 
-    One neighbor search scores a subsequence with the batch profile's kernel
-    (:func:`~mpstream.core.correlation_scores`, then
-    :func:`~mpstream.core.match_distance` on the winner's score), using
-    1/std and mean/std: the only per-subsequence statistics kept, cached
-    once when the subsequence arrives.  An append runs it on the newest
-    subsequence with the dot products of the rolling recurrence, and that
-    is the only search: past values are not stored.  :meth:`profile`
-    rebuilds them by replaying the retained samples.
+    :meth:`append` is the whole per-sample path.  It scores the newest
+    subsequence with the batch profile's kernel
+    (:func:`~mpstream.core.correlation_scores` on the dot products of the
+    rolling recurrence, then :func:`~mpstream.core.match_distance` on the
+    winner's score), using 1/std and mean/std: the only per-subsequence
+    statistics kept, cached once when the subsequence arrives.  That is the
+    only search, and past values are not stored: :meth:`profile` rebuilds
+    them by replaying the retained samples.
 
     Samples are stored minus the first sample, which leaves every distance
     unchanged but keeps a large common offset (a 50 Hz level) out of the
@@ -105,9 +105,8 @@ class StreamingProfile:
         keep = e - s
         self._buf[:keep] = self._buf[s:e]
         nsub = keep - m + 1
-        if nsub > 0:
-            for arr in (self._qt, self._isig, self._mos):
-                arr[:nsub] = arr[s:s + nsub]
+        for arr in (self._qt, self._isig, self._mos):
+            arr[:nsub] = arr[s:s + nsub]
         self._offset += s
         self._start = 0
         self._end = keep
@@ -115,9 +114,14 @@ class StreamingProfile:
     def append(self, sample: float):
         """Ingest one sample.
 
-        Returns ``(profile_value, neighbor_position)`` for the newest
-        subsequence — positions are absolute stream indices — or ``None``
-        while warming up (fewer than ``m + exclusion_radius + 1`` samples).
+        Updates the rolling sums and dot products, caches the newest
+        subsequence's 1/std and mean/std, and searches the retained
+        subsequences outside its exclusion zone for its nearest left
+        neighbor.  Returns ``(profile_value, neighbor_position)`` —
+        positions are absolute stream indices — or ``None`` when no
+        candidate is left: while warming up (fewer than
+        ``m + exclusion_radius + 1`` samples), and always when
+        ``exclusion_radius >= capacity - m``.
         """
         x = float(sample)
         if not math.isfinite(x):
@@ -172,39 +176,25 @@ class StreamingProfile:
             qt[start] = float(np.dot(buf[start:start + m], buf[l:end]))
         mu = self._s1 / m
         var = self._s2 / m - mu * mu
-        if var < 0.0 or self._equal_run >= m:
-            var = 0.0
-        sig = math.sqrt(var)
-        if sig == 0.0:
+        if var <= 0.0 or self._equal_run >= m:
             self._isig[l] = self._mos[l] = 0.0
         else:
+            sig = math.sqrt(var)
             self._isig[l] = 1.0 / sig
             self._mos[l] = mu / sig
-        return self._search(l, qt[start:])
 
-    def _search(self, o: int, qt: np.ndarray):
-        """Nearest left neighbor of the subsequence at buffer index ``o``
-        among the retained ones outside its exclusion zone.
-
-        ``qt[i]`` is its dot product with the subsequence at buffer index
-        ``start + i``.  Returns ``(distance, neighbor_position)``, or None
-        when no candidate is left.
-        """
-        m, start = self.m, self._start
-        hi = o - self.exclusion_radius  # candidates are buffer indices [start, hi)
+        hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
         if hi <= start:
             return None
-        buf = self._buf
         # The identity steers the search; near-duplicate matches get their
         # value re-evaluated directly so every reported distance reproduces
         # from its neighbor to 1e-9 even on exactly repeating inputs.
         k = hi - start
-        isig = float(self._isig[o])
-        score = correlation_scores(qt[:k], isig, self._mos[o], self._isig[start:hi],
+        isig = float(self._isig[l])
+        score = correlation_scores(qt[start:hi], isig, self._mos[l], self._isig[start:hi],
                                    self._mos[start:hi], m, self._t1[:k], self._t2[:k])
         i = int(score.argmax())
-        j = start + i
-        return match_distance(buf, m, o, j, score[i], isig), self._offset + j
+        return match_distance(buf, m, l, start + i, score[i], isig), self._offset + start + i
 
     def profile(self) -> MatrixProfile:
         """Snapshot of the left profile over the retained window.

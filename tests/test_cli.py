@@ -11,7 +11,7 @@ import pytest
 import mpstream
 from mpstream.cli import ConfigError, RunConfig, main
 from mpstream.detect import DetectorConfig, FilterChain
-from mpstream.generate import DEFAULT_LAYOUT, FourFaultLayout, GeneratorConfig
+from mpstream.generate import DEFAULT_LAYOUT, FaultKind, FourFaultLayout, GeneratorConfig
 from mpstream.io import read_dataset, read_events, read_truth
 from mpstream.stream import StreamingProfile
 
@@ -21,6 +21,9 @@ def write_config(tmp_path, **kw):
     path.write_text(json.dumps(kw))
     return str(path)
 
+
+# A JSON integer that no float can hold.
+HUGE_INT = 10 ** 400
 
 # enter_ratio 1.5 gives the quantile threshold headroom against the normal
 # tail so these small runs are seed-robust.
@@ -51,9 +54,15 @@ class TestGenerate:
         '{"duration_s": 1e400}',
         '{"dataset": "point_outlier", "fault_start_s": 1e400}',
         '{"ll_start_s": 1e400}',
+        pytest.param(f'{{"duration_s": {HUGE_INT}}}', id="duration_s-huge-int"),
+        pytest.param(f'{{"severity": {HUGE_INT}}}', id="severity-huge-int"),
+        pytest.param(f'{{"ll_start_s": {HUGE_INT}}}', id="ll_start_s-huge-int"),
+        pytest.param(f'{{"dataset": "point_outlier", "fault_start_s": {HUGE_INT}}}',
+                     id="fault_start_s-huge-int"),
     ])
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, config):
-        # JSON reads 1e400 as infinity.
+        # JSON reads 1e400 as infinity, and an integer literal as an int too
+        # large for a float.
         cfg = tmp_path / "config.json"
         cfg.write_text(config)
         assert main(["generate", "--config", str(cfg),
@@ -69,6 +78,16 @@ class TestGenerate:
                      "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("mpstream: error: ") and key in err
+
+    def test_unknown_dataset_lists_the_fault_kinds(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dataset="nope")
+        assert main(["generate", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mpstream: error: unknown dataset 'nope'; "
+                              "expected four_fault or one of ")
+        assert all(kind.value in err for kind in FaultKind)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, duration_zz=1.0)
@@ -470,6 +489,9 @@ MISTYPED = [
     ("detect", "min_event_len", True, "expected int, got boolean"),
     ("detect", "window", 32.0, "expected int, got number"),
     ("profile", "window", None, "expected int, got null"),
+    ("generate", "duration_s", HUGE_INT, "int too large to convert to float"),
+    ("detect", "threshold_value", HUGE_INT, "int too large to convert to float"),
+    ("detect", "enter_ratio", HUGE_INT, "int too large to convert to float"),
 ]
 
 
@@ -511,7 +533,8 @@ class TestConfigRouting:
                 RunConfig.load(write_config(tmp_path, **{key: "fixed"}))
 
     @pytest.mark.parametrize("command, key, value, message", MISTYPED, ids=[
-        f"{command}-{key}-{json.dumps(value)}" for command, key, value, _ in MISTYPED])
+        f"{command}-{key}-{'huge-int' if value == HUGE_INT else json.dumps(value)}"
+        for command, key, value, _ in MISTYPED])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys,
                                              command, key, value, message):
         small = {**SMALL, "duration_s": 0.2, "fault_start_s": 0.1,

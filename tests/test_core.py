@@ -68,6 +68,8 @@ class TestTimeSeries:
             TimeSeries(np.array([1.0]), 0.0)
         with pytest.raises(ValueError):
             TimeSeries(np.array([]), 1.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            TimeSeries(np.zeros((2, 2)), 1.0)
 
     def test_times(self):
         ts = TimeSeries(np.zeros(4), 2.0)
@@ -258,6 +260,9 @@ class TestSlidingDotProducts:
     def test_query_longer_than_series(self):
         with pytest.raises(ValueError):
             sliding_dot_products([1, 2, 3], [1, 2])
+        for query in ([], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="non-empty one-dimensional"):
+                sliding_dot_products(query, [1, 2, 3])
 
     def test_random_against_naive(self):
         r = rng(3)
@@ -386,6 +391,8 @@ class TestDiscords:
         got = discords(p, 4, exclusion_radius=1)
         # 1 and 2 fall inside the zones of earlier picks; inf never selected.
         assert got == [(0, 9.0), (2, 7.0)]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            discords(p, 0, exclusion_radius=1)
 
 
 class TestStructuredSignals:

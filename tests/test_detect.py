@@ -35,6 +35,13 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             DetectorConfig(quantile_q=1.0)
 
+    @pytest.mark.parametrize("key, low", [
+        ("calibration_len", 1), ("min_event_len", 1), ("cooldown", 0), ("warmup", 0)])
+    def test_count_lower_bounds(self, key, low):
+        DetectorConfig(**{key: low})
+        with pytest.raises(ValueError, match=f"{key} must be >= {low}"):
+            DetectorConfig(**{key: low - 1})
+
     def test_fixed_requires_value(self):
         # A fixed threshold must be finite and positive; None calibrates
         # one instead.
@@ -60,6 +67,11 @@ class TestCalibrateThreshold:
     def test_all_non_finite_errors(self):
         with pytest.raises(ValueError):
             calibrate_threshold([np.inf, np.nan], 0.5)
+
+    def test_q_outside_unit_interval(self):
+        for q in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"q must lie in \(0, 1\)"):
+                calibrate_threshold([1, 2, 3], q)
         with pytest.raises(ValueError):
             calibrate_threshold([], 0.5)
 
@@ -312,6 +324,8 @@ class TestEventsToSegments:
             [self.ev(EventKind.START, 10), self.ev(EventKind.END, 20),
              self.ev(EventKind.START, 30)], 50)
         assert segs == [AnomalySegment(10, 20), AnomalySegment(30, 50)]
+        with pytest.raises(ValueError, match="beyond the stream length"):
+            events_to_segments([self.ev(EventKind.START, 50)], 50)
 
     def test_malformed_alternation(self):
         with pytest.raises(ValueError):
@@ -322,6 +336,8 @@ class TestEventsToSegments:
         with pytest.raises(ValueError):
             events_to_segments(
                 [self.ev(EventKind.START, 10), self.ev(EventKind.END, 10)], 100)
+        with pytest.raises(ValueError, match="unknown event kind"):
+            events_to_segments([self.ev("start", 10)], 100)
 
 
 class TestTaxonomyIntegration:

@@ -37,6 +37,8 @@ class TestPointConfusion:
             point_confusion([seg(90, 110)], [], 100)
         with pytest.raises(ValueError):
             point_confusion([], [seg(-5, 10)], 100)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            point_confusion([], [], -1)
 
 
 class TestMetrics:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpstream.detect import AnomalySegment
 from mpstream.generate import (
     DEFAULT_LAYOUT,
     LL_AMPLITUDE_HZ,
@@ -8,6 +9,7 @@ from mpstream.generate import (
     FaultSpec,
     FourFaultLayout,
     GeneratorConfig,
+    LabeledDataset,
     four_fault_dataset,
     generate_base,
     inject_fault,
@@ -29,6 +31,13 @@ class TestGeneratorConfig:
     def test_positive_duration(self):
         with pytest.raises(ValueError):
             GeneratorConfig(duration_s=0.0)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("nominal_freq_hz", 0.0, "nominal_freq_hz must be positive"),
+        ("noise_std", -0.001, "noise_std and ripple_amplitude_hz must be >= 0")])
+    def test_out_of_range_value(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorConfig(**{key: value})
 
 
 class TestGenerateBase:
@@ -140,6 +149,16 @@ class TestInjectFault:
         with pytest.raises(ValueError):
             inject_fault(base, FaultSpec(FaultKind.LL_FAULT, 1.95, 0.2), SMALL)
 
+    def test_invalid_fault_rejected(self):
+        base = generate_base(SMALL)
+        with pytest.raises(ValueError, match=r"severity must lie in \[0, 1\]"):
+            FaultSpec(FaultKind.LL_FAULT, 1.0, 0.05, severity=1.5)
+        with pytest.raises(ValueError, match="pre-fault sample"):
+            inject_fault(base, FaultSpec(FaultKind.THREE_PHASE_SENSOR_FAULT, 0.0, 0.05),
+                         SMALL)
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            inject_fault(base, FaultSpec("ll_fault", 1.0, 0.05), SMALL)
+
     def test_determinism(self):
         base = generate_base(SMALL)
         spec = FaultSpec(FaultKind.THREE_PHASE_GRID_FAULT, 0.5, 0.2)
@@ -176,6 +195,11 @@ class TestFourFaultDataset:
             s, e = single.truth[0].start, single.truth[0].end
             assert np.array_equal(combined.channel.samples[s:e],
                                   single.channel.samples[s:e]), fault.kind
+
+    def test_overlapping_truth_rejected(self):
+        base = generate_base(SMALL)
+        with pytest.raises(ValueError, match="sorted and disjoint"):
+            LabeledDataset(base, [AnomalySegment(0, 10), AnomalySegment(5, 15)], SMALL)
 
     def test_layout_must_fit(self):
         with pytest.raises(ValueError):

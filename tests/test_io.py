@@ -52,6 +52,9 @@ class TestDatasetRoundTrip:
         path.write_text("t_s,f_c_hz,label\n0.0,50.0,\n0.001,oops,\n")
         with pytest.raises(DataError, match="line 3"):
             read_dataset(path)
+        path.write_text("t_s,f_c_hz,label\n0.0,50.0,\n0.001,50.0\n")
+        with pytest.raises(DataError, match="line 3: expected 3 fields, got 2"):
+            read_dataset(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_number_names_line(self, tmp_path, value):
@@ -78,6 +81,9 @@ class TestTruthRoundTrip:
         path = tmp_path / "truth.csv"
         path.write_text("start_idx,end_idx,label\n20,10,x\n")
         with pytest.raises(DataError, match="line 2"):
+            read_truth(path)
+        path.write_text("start_idx,end_idx,label\n1.5,10,x\n")
+        with pytest.raises(DataError, match="line 2: malformed index"):
             read_truth(path)
 
 
@@ -133,6 +139,15 @@ class TestReportRoundTrip:
         path2 = tmp_path / "report2.csv"
         write_report(path2, back)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("row, message", [
+        ("ll_fault,0.9x,,,", "malformed metric"),
+        ("ll_fault,,0.5,0.5,0.5", "accuracy must be present")])
+    def test_malformed_row_rejected(self, tmp_path, row, message):
+        path = tmp_path / "report.csv"
+        path.write_text(f"fault,accuracy,precision,recall,f_score\n{row}\n")
+        with pytest.raises(DataError, match=f"line 2: {message}"):
+            read_report(path)
 
 
 class TestEmptyFiles:
