@@ -4,17 +4,20 @@ The profile of a series is, for every length-``m`` subsequence, the distance
 to its nearest neighbor elsewhere in the series, excluding trivial
 self-matches around the subsequence's own position.  Two implementations are
 provided: :func:`matrix_profile_brute`, a direct all-pairs reference, and
-:func:`matrix_profile`, an O(n^2)-time / O(n)-space version built on an
-incremental sliding dot-product recurrence.  Both share the same degenerate
-conventions for zero-variance (flat) subsequences.
+:func:`matrix_profile`, an O(n^2)-time / O(n)-space version built on the
+centred covariance recurrence of SCAMP (Zimmerman et al., "Matrix Profile
+XIV", SoCC 2019).  Both share the same degenerate conventions for
+zero-variance (flat) subsequences.
 
-:func:`correlation_scores` and :func:`match_distance` are the distance
-kernel that :func:`matrix_profile` shares with the streaming left profile:
-the first scores every candidate, the second turns the winner's score into
-its distance.
+:func:`covariance_step`, :func:`correlation_scores` and
+:func:`match_distance` are the distance kernel that :func:`matrix_profile`
+shares with the streaming left profile: the first advances the centred
+covariances of one subsequence with every candidate to the next
+subsequence, the second scores every candidate, the third turns the
+winner's score into its distance.
 
-Apart from the buffers :func:`correlation_scores` fills, everything here
-is a pure function of its inputs.
+Apart from the buffers the kernel fills, everything here is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "rolling_stats",
     "znorm_distance",
     "sliding_dot_products",
+    "covariance_step",
     "correlation_scores",
     "match_distance",
     "matrix_profile_brute",
@@ -45,8 +49,8 @@ __all__ = [
 # is +inf.  Serialized as an empty CSV field.
 SENTINEL_INDEX = -1
 
-# The dot-product identity loses absolute precision only where the distance
-# is near zero; matches at least this correlated get their distance
+# The identity d^2 = 2m(1 - rho) loses absolute precision only where the
+# distance is near zero; matches at least this correlated get their distance
 # re-evaluated directly from the samples.
 REFINE_RHO = 0.99
 
@@ -226,24 +230,39 @@ def _pair_distance(a: np.ndarray, b: np.ndarray, m: int) -> float:
     return math.sqrt(min(max(d2, 0.0), 4.0 * m))
 
 
-def correlation_scores(qt, isig, mos, inv_stds, means_over_stds, m, out, tmp):
+def covariance_step(prev, df, dg, df_i, dg_i, out, t1, t2):
+    """Centred covariances of subsequence ``i`` from those of ``i - 1``.
+
+    ``prev[j]`` is the covariance of subsequence ``i - 1`` with candidate
+    ``j - 1``, ``sum_k (x[i-1+k] - mu_{i-1}) * (x[j-1+k] - mu_{j-1})``;
+    ``out[j]`` receives that of ``i`` with ``j``:
+    ``prev[j] + df_i * dg[j] + dg_i * df[j]``, where a subsequence ``j``
+    caches ``df[j] = (x[j+m-1] - x[j-1]) / 2`` and
+    ``dg[j] = (x[j+m-1] - mu_j) + (x[j-1] - mu_{j-1})``.  ``out`` may
+    overlap ``prev`` (the stream shifts one buffer by one); ``t1`` and
+    ``t2`` are scratch of the same length.
+    """
+    np.multiply(dg, df_i, out=t1)
+    np.add(t1, prev, out=t1)
+    np.multiply(df, dg_i, out=t2)
+    return np.add(t1, t2, out=out)
+
+
+def correlation_scores(cov, isig, inv_stds, out):
     """Scores of every candidate against one subsequence; the nearest
     neighbor is their argmax.
 
-    ``qt[j]`` is the dot product of the subsequence with candidate ``j``.
-    ``isig`` and ``mos`` are the subsequence's cached ``1/std`` and
-    ``mean/std``, ``inv_stds[j]`` and ``means_over_stds[j]`` the
-    candidate's; a flat subsequence caches 0 in both.  For a non-flat
-    subsequence ``out[j]`` is ``m * std`` times the Pearson correlation, so
-    a flat candidate scores 0 (uncorrelated) without any mask.  A flat
-    subsequence scores 1 against flat candidates (distance 0) and 0
-    against the rest (sqrt(2m)).  ``tmp`` is scratch.
+    ``cov[j]`` is the centred covariance of the subsequence with candidate
+    ``j`` (see :func:`covariance_step`), ``isig`` the subsequence's cached
+    ``1/std`` and ``inv_stds[j]`` the candidate's; a flat subsequence
+    caches 0.  For a non-flat subsequence ``out[j]`` is ``m * std`` times
+    the Pearson correlation, so a flat candidate scores 0 (uncorrelated)
+    without any mask.  A flat subsequence scores 1 against flat candidates
+    (distance 0) and 0 against the rest (sqrt(2m)).
     """
     if isig == 0.0:
         return np.equal(inv_stds, 0.0, out=out)
-    np.multiply(qt, inv_stds, out=out)
-    np.multiply(means_over_stds, m * mos / isig, out=tmp)
-    return np.subtract(out, tmp, out=out)
+    return np.multiply(cov, inv_stds, out=out)
 
 
 def match_distance(x: np.ndarray, m: int, i: int, j: int, score: float,
@@ -253,11 +272,11 @@ def match_distance(x: np.ndarray, m: int, i: int, j: int, score: float,
     and ``isig`` is ``1/std`` of ``i`` (0 when flat).
 
     The correlation is ``score * isig / m``, or ``score`` itself for a flat
-    ``i``.  The dot-product identity loses absolute precision near zero, so
-    matches correlated at least :data:`REFINE_RHO` (a rounded correlation
-    above 1 included) are re-evaluated directly from the samples: every
-    reported profile value then reproduces from its neighbor via
-    :func:`znorm_distance` to 1e-9, even on exact repeats.
+    ``i``.  The identity ``d^2 = 2m(1 - rho)`` loses absolute precision
+    near zero, so matches correlated at least :data:`REFINE_RHO` (a rounded
+    correlation above 1 included) are re-evaluated directly from the
+    samples: every reported profile value then reproduces from its neighbor
+    via :func:`znorm_distance` to 1e-9, even on exact repeats.
     """
     rho = float(score) * isig / m if isig else float(score)
     two_m = 2.0 * m
@@ -314,11 +333,13 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
 
     Equivalent to :func:`matrix_profile_brute` within 1e-6 per element
     (indices up to distance ties).  It runs on the samples minus the first
-    sample, which keeps a large common offset out of the dot products.
-    ``qt[j]`` tracks dot(window_i, window_j), updated incrementally from row
-    to row.  Each row is scored with :func:`correlation_scores`, using 1/std
-    and mean/std cached once per call, and only its winner's score goes on
-    to :func:`match_distance`: the same kernel the stream uses.
+    sample, which keeps a large common offset out of the sums.  ``cov[j]``
+    tracks the centred covariance of subsequences ``i`` and ``j``, advanced
+    from row to row by :func:`covariance_step`; row 0 is computed directly
+    and seeds column 0 by symmetry.  Each row is scored with
+    :func:`correlation_scores`, using 1/std cached once per call, and only
+    its winner's score goes on to :func:`match_distance`: the same kernel
+    the stream uses.
 
     Parameters
     ----------
@@ -338,32 +359,32 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
 
     stats = rolling_stats(x, m)
     means, stds = stats.means, stats.stds
-    live = stds != 0.0
-    inv_stds = np.divide(1.0, stds, out=np.zeros(p), where=live)
-    means_over_stds = np.divide(means, stds, out=np.zeros(p), where=live)
-    qt_row0 = sliding_dot_products(x[:m], x)
+    inv_stds = np.divide(1.0, stds, out=np.zeros(p), where=stds != 0.0)
+    # Per-subsequence terms of the recurrence; 0 for the first, which has
+    # no predecessor (row and column 0 are computed directly).
+    df = np.zeros(p)
+    dg = np.zeros(p)
+    df[1:] = 0.5 * (x[m:] - x[:p - 1])
+    dg[1:] = (x[m:] - means[1:]) + (x[:p - 1] - means[:-1])
+    cov_row0 = sliding_dot_products(x[:m] - means[0], x)
 
     distances = np.full(p, np.inf)
     indices = np.full(p, SENTINEL_INDEX, dtype=np.int64)
     score = np.empty(p)
     tmp = np.empty(p)
-    qt = qt_row0.copy()
+    cov = cov_row0.copy()
     prev = np.empty(p)
-    # Row recurrence qt[j] <- prev[j-1] - x[j-1]*x[i-1] + x[j+m-1]*x[i+m-1],
-    # run in preallocated buffers; score and tmp double as its scratch.
-    x_old, x_new = x[:p - 1], x[m:n]
+    # score and tmp double as the recurrence's scratch.
+    df_tail, dg_tail = df[1:], dg[1:]
     s_head, t_head = score[:p - 1], tmp[:p - 1]
     for i in range(p):
         if i:
-            qt, prev = prev, qt
-            np.multiply(x_old, x[i - 1], out=s_head)
-            np.subtract(prev[:-1], s_head, out=s_head)
-            np.multiply(x_new, x[i + m - 1], out=t_head)
-            np.add(s_head, t_head, out=qt[1:])
-            qt[0] = qt_row0[i]
+            cov, prev = prev, cov
+            covariance_step(prev[:-1], df_tail, dg_tail, df[i], dg[i], cov[1:],
+                            s_head, t_head)
+            cov[0] = cov_row0[i]
         isig = float(inv_stds[i])
-        correlation_scores(qt, isig, means_over_stds[i], inv_stds, means_over_stds,
-                           m, score, tmp)
+        correlation_scores(cov, isig, inv_stds, score)
         score[max(0, i - r):min(p, i + r + 1)] = -np.inf
         j = int(score.argmax())
         if score[j] > -np.inf:

@@ -171,8 +171,9 @@ class AnomalyDetector:
 
     Feed samples one at a time through :meth:`step`; each call returns the
     events (possibly none) emitted by that sample.  ``last_profile`` holds
-    the profile value produced by the most recent step, or None while the
-    underlying stream is warming up.
+    the profile value produced by the most recent step and
+    ``last_neighbor`` the absolute position of the subsequence it is the
+    distance to; both are None while the underlying stream is warming up.
 
     Single-writer like the stream it wraps; independent detectors on
     distinct channels share no state and may run concurrently.
@@ -186,6 +187,7 @@ class AnomalyDetector:
                                        exclusion_radius=exclusion_radius)
         self.threshold: float | None = self.config.threshold_value
         self.last_profile: float | None = None
+        self.last_neighbor: int | None = None
         self._calibration: list[float] = []
         self._chain: FilterChain | None = (
             None if self.threshold is None else FilterChain(self.threshold, self.config))
@@ -195,9 +197,9 @@ class AnomalyDetector:
         sample_index = self.stream.count
         result = self.stream.append(sample)
         if result is None:
-            self.last_profile = None
+            self.last_profile = self.last_neighbor = None
             return []
-        value, _ = result
+        value, self.last_neighbor = result
         self.last_profile = value
 
         if sample_index < self.config.warmup:

@@ -2,9 +2,10 @@
 
 Each appended sample completes a new subsequence whose z-normalized distance
 profile against all older in-window subsequences is evaluated in O(window)
-work, using a rolling dot-product recurrence.  The minimum becomes the
-subsequence's left-profile value, which is what a causal detector consumes:
-the stream never looks at samples that have not arrived yet.
+work, using the centred covariance recurrence the batch profile runs row by
+row.  The minimum becomes the subsequence's left-profile value, which is
+what a causal detector consumes: the stream never looks at samples that
+have not arrived yet.
 
 Memory is O(capacity) regardless of how many samples are ingested; the
 oldest sample is evicted once the window is full.  The stream keeps no
@@ -26,6 +27,7 @@ from mpstream.core import (
     MatrixProfile,
     _validate_radius,
     correlation_scores,
+    covariance_step,
     match_distance,
 )
 
@@ -44,18 +46,21 @@ class StreamingProfile:
     exclusion_radius : int, optional
         Trivial-match half-width, default ``ceil(m/4)``.
 
-    :meth:`append` is the whole per-sample path.  It scores the newest
-    subsequence with the batch profile's kernel
-    (:func:`~mpstream.core.correlation_scores` on the dot products of the
-    rolling recurrence, then :func:`~mpstream.core.match_distance` on the
-    winner's score), using 1/std and mean/std: the only per-subsequence
-    statistics kept, cached once when the subsequence arrives.  That is the
-    only search, and past values are not stored: :meth:`profile` rebuilds
-    them by replaying the retained samples.
+    :meth:`append` is the whole per-sample path.  It advances the centred
+    covariances of the newest subsequence with every retained one by the
+    batch profile's kernel (:func:`~mpstream.core.covariance_step`), scores
+    them with :func:`~mpstream.core.correlation_scores` and turns the
+    winner's score into its distance with
+    :func:`~mpstream.core.match_distance`.  Per subsequence it keeps 1/std
+    and the recurrence's two terms ``df`` and ``dg``, cached once when the
+    subsequence arrives; the window's variance is the recurrence's own
+    diagonal, and its mean comes from a compensated running sum.  That is
+    the only search, and past values are not stored: :meth:`profile`
+    rebuilds them by replaying the retained samples.
 
     Samples are stored minus the first sample, which leaves every distance
     unchanged but keeps a large common offset (a 50 Hz level) out of the
-    running sums and dot products, where it would cancel.
+    running sum.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
@@ -71,15 +76,21 @@ class StreamingProfile:
         if capacity < 2 * m:
             raise ValueError(
                 f"capacity {capacity} too small: need at least 2*m = {2 * m}")
+        r = _validate_radius(exclusion_radius, m)
+        if r >= capacity - m:
+            raise ValueError(
+                f"exclusion_radius {r} leaves no candidate in a full window: "
+                f"need exclusion_radius < capacity - m = {capacity - m}")
         self.m = m
         self.capacity = capacity
-        self.exclusion_radius = _validate_radius(exclusion_radius, m)
+        self.exclusion_radius = r
 
         size = 2 * capacity
         self._buf = np.empty(size)
-        self._qt = np.empty(size)
+        self._cov = np.empty(size)   # covariances of the newest subsequence
         self._isig = np.empty(size)  # 1/sig, 0 for a flat subsequence
-        self._mos = np.empty(size)   # mu/sig, 0 for a flat subsequence
+        self._df = np.empty(size)    # recurrence terms, see covariance_step
+        self._dg = np.empty(size)
         self._t1 = np.empty(capacity)  # scratch: avoids per-append allocation
         self._t2 = np.empty(capacity)
         self._start = 0          # buffer index of the oldest retained sample
@@ -87,7 +98,7 @@ class StreamingProfile:
         self._offset = 0         # absolute stream position of buf[0]
         self._ref = 0.0          # first sample; buf holds samples minus it
         self._s1 = 0.0           # running sum over the newest m samples
-        self._s2 = 0.0           # running sum of squares
+        self._c1 = 0.0           # its Kahan compensation
         self._equal_run = 0      # trailing run of bitwise-identical samples
 
     @property
@@ -105,7 +116,7 @@ class StreamingProfile:
         keep = e - s
         self._buf[:keep] = self._buf[s:e]
         nsub = keep - m + 1
-        for arr in (self._qt, self._isig, self._mos):
+        for arr in (self._cov, self._isig, self._df, self._dg):
             arr[:nsub] = arr[s:s + nsub]
         self._offset += s
         self._start = 0
@@ -114,14 +125,12 @@ class StreamingProfile:
     def append(self, sample: float):
         """Ingest one sample.
 
-        Updates the rolling sums and dot products, caches the newest
-        subsequence's 1/std and mean/std, and searches the retained
+        Updates the running sum and the covariances, caches the newest
+        subsequence's 1/std and recurrence terms, and searches the retained
         subsequences outside its exclusion zone for its nearest left
         neighbor.  Returns ``(profile_value, neighbor_position)`` —
-        positions are absolute stream indices — or ``None`` when no
-        candidate is left: while warming up (fewer than
-        ``m + exclusion_radius + 1`` samples), and always when
-        ``exclusion_radius >= capacity - m``.
+        positions are absolute stream indices — or ``None`` while warming
+        up (fewer than ``m + exclusion_radius + 1`` samples).
         """
         x = float(sample)
         if not math.isfinite(x):
@@ -149,39 +158,45 @@ class StreamingProfile:
 
         start, end = self._start, self._end
         l = end - m  # buffer index of the newest subsequence
+        cov = self._cov
+        if count == m:
+            df_l = dg_l = 0.0
+        else:
+            old = float(buf[l - 1])
+            mu_prev = self._s1 / m
+            y = (x - old) - self._c1  # Kahan-compensated running sum
+            s1 = self._s1 + y
+            self._c1 = (s1 - self._s1) - y
+            self._s1 = s1
+            df_l = 0.5 * (x - old)
+            dg_l = (x - s1 / m) + (old - mu_prev)
+        self._df[l] = df_l
+        self._dg[l] = dg_l
 
-        # Rolling sums of the newest subsequence and its dot products with
-        # every older one, recomputed from the samples every `capacity`
-        # appends: short-lag dot products never leave the window, so their
-        # recurrence rounding would otherwise persist.
-        qt = self._qt
+        # The running sum and the covariances are recomputed from the
+        # samples every `capacity` appends: short-lag covariances never
+        # leave the window, so their recurrence rounding would otherwise
+        # persist.
         if count == m or count % cap == 0:
             w = buf[l:end]
             self._s1 = float(np.sum(w))
-            self._s2 = float(np.dot(w, w))
-            qt[start:l + 1] = np.correlate(buf[start:end], w, mode="valid")
+            self._c1 = 0.0
+            cov[start:l + 1] = np.correlate(buf[start:end], w - self._s1 / m,
+                                            mode="valid")
         else:
-            old = buf[l - 1]
-            self._s1 += x - old
-            self._s2 += x * x - old * old
-            # qt[j] <- qt_prev[j-1] - T[j-1]*T[l-1] + T[j+m-1]*x, then the
-            # first entry (which has no predecessor) is computed directly.
-            k = l - start
-            t1 = self._t1[:k]
-            t2 = self._t2[:k]
-            np.multiply(buf[start:l], old, out=t1)
-            np.subtract(qt[start:l], t1, out=t1)
-            np.multiply(buf[start + m:l + m], x, out=t2)
-            np.add(t1, t2, out=qt[start + 1:l + 1])
-            qt[start] = float(np.dot(buf[start:start + m], buf[l:end]))
-        mu = self._s1 / m
-        var = self._s2 / m - mu * mu
-        if var <= 0.0 or self._equal_run >= m:
-            self._isig[l] = self._mos[l] = 0.0
-        else:
-            sig = math.sqrt(var)
-            self._isig[l] = 1.0 / sig
-            self._mos[l] = mu / sig
+            # Once the window has slid, the oldest candidate's predecessor
+            # is still at buffer index start - 1 (_compact keeps it), so the
+            # recurrence covers it too; before that it is computed directly.
+            lo = start or 1
+            k = l + 1 - lo
+            covariance_step(cov[lo - 1:l], self._df[lo:l + 1], self._dg[lo:l + 1],
+                            df_l, dg_l, cov[lo:l + 1], self._t1[:k], self._t2[:k])
+            if not start:
+                cov[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
+        # The variance is the recurrence's own diagonal.
+        var = float(cov[l]) / m
+        isig = 0.0 if var <= 0.0 or self._equal_run >= m else 1.0 / math.sqrt(var)
+        self._isig[l] = isig
 
         hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
         if hi <= start:
@@ -189,10 +204,8 @@ class StreamingProfile:
         # The identity steers the search; near-duplicate matches get their
         # value re-evaluated directly so every reported distance reproduces
         # from its neighbor to 1e-9 even on exactly repeating inputs.
-        k = hi - start
-        isig = float(self._isig[l])
-        score = correlation_scores(qt[start:hi], isig, self._mos[l], self._isig[start:hi],
-                                   self._mos[start:hi], m, self._t1[:k], self._t2[:k])
+        score = correlation_scores(cov[start:hi], isig, self._isig[start:hi],
+                                   self._t1[:hi - start])
         i = int(score.argmax())
         return match_distance(buf, m, l, start + i, score[i], isig), self._offset + start + i
 

@@ -213,6 +213,21 @@ class TestDetect:
                      "--out", str(tmp_path / "e.csv"), str(data)]) == 1
         assert capsys.readouterr().err.startswith("mpstream: error: ")
 
+    def test_radius_that_leaves_no_candidate_is_config_error(self, tmp_path, capsys):
+        # capacity 8192 - window 64 = 8128: a full window would have no
+        # candidate left, so no profile value would ever come.
+        data = tmp_path / "data.csv"
+        assert main(["generate", "--config", write_config(tmp_path, **{
+            **SMALL, "duration_s": 0.2, "fault_start_s": 0.1,
+            "fault_duration_s": 0.01}), "--out", str(data)]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, exclusion_radius=8128)
+        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "e.csv"),
+                     str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mpstream: error: ") and "exclusion_radius" in err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_threshold_value_alone_fixes_the_threshold(self, tmp_path):
         # A finite threshold_value is used as is, from the end of warm-up
         # on: a threshold near the spike's peak delays the start to 3955,

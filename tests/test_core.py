@@ -9,6 +9,7 @@ from mpstream.core import (
     SENTINEL_INDEX,
     TimeSeries,
     correlation_scores,
+    covariance_step,
     default_exclusion_radius,
     discords,
     match_distance,
@@ -19,7 +20,7 @@ from mpstream.core import (
     znorm_distance,
 )
 
-from mpstream.generate import four_fault_dataset
+from mpstream.generate import GeneratorConfig, four_fault_dataset
 from mpstream.stream import StreamingProfile
 
 from oracles import (
@@ -35,10 +36,12 @@ rng = np.random.default_rng
 
 
 @functools.cache
-def default_channel():
+def default_channel(noise_std=None):
     """The default four-fault channel: a 50 Hz level, a flat sensor-fault
-    plateau near sample 40000, and 100000 samples."""
-    return four_fault_dataset().channel.samples
+    plateau near sample 40000, and 100000 samples; regenerated with another
+    ``noise_std`` when one is given."""
+    config = None if noise_std is None else GeneratorConfig(noise_std=noise_std)
+    return four_fault_dataset(config).channel.samples
 
 
 def stream_trace(x, m, capacity, radius=None):
@@ -168,27 +171,25 @@ class TestCorrelationKernel:
 
     @classmethod
     def window_stats(cls, x):
-        # Two-pass statistics and caches, independent of rolling_stats.
+        # Two-pass statistics, independent of rolling_stats, and the
+        # centred covariances of every pair of windows.
         w = np.lib.stride_tricks.sliding_window_view(x, cls.M)
         flat = np.ptp(w, axis=1) == 0.0
         stds = np.where(flat, 0.0, w.std(axis=1))
-        means = w.mean(axis=1)
-        safe = np.where(flat, 1.0, stds)
-        inv = np.where(flat, 0.0, 1.0 / safe)
-        mos = np.where(flat, 0.0, means / safe)
-        return w, means, stds, flat, inv, mos
+        inv = np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, stds))
+        centred = w - w.mean(axis=1, keepdims=True)
+        return w, stds, flat, inv, centred @ centred.T
 
     def test_all_flat_pairings_match_znorm_distance(self):
         m = self.M
         x = self.channel()
-        w, means, stds, flat, inv, mos = self.window_stats(x)
-        p = means.size
-        score, tmp = np.empty(p), np.empty(p)
+        w, stds, flat, inv, cov = self.window_stats(x)
+        p = stds.size
+        score = np.empty(p)
         seen = set()
         for i in range(p):
-            qt = sliding_dot_products(w[i], x)
             with np.errstate(all="raise"):  # flat pairs never divide by 0
-                correlation_scores(qt, inv[i], mos[i], inv, mos, m, score, tmp)
+                correlation_scores(cov[i], inv[i], inv, score)
                 d = np.array([match_distance(x, m, i, j, score[j], inv[i])
                               for j in range(p)])
             for j in range(p):
@@ -213,17 +214,44 @@ class TestCorrelationKernel:
         # finds a flat candidate.
         m, r = self.M, 2
         x = self.channel()
-        w, means, stds, flat, inv, mos = self.window_stats(x)
-        p = means.size
-        score, tmp = np.empty(p), np.empty(p)
+        w, stds, flat, inv, cov = self.window_stats(x)
+        p = stds.size
+        score = np.empty(p)
         for i in range(p):
-            qt = sliding_dot_products(w[i], x)
-            correlation_scores(qt, inv[i], mos[i], inv, mos, m, score, tmp)
+            correlation_scores(cov[i], inv[i], inv, score)
             score[max(0, i - r):i + r + 1] = -np.inf
             j = int(score.argmax())
             direct = [znorm_distance(w[i], w[k]) if abs(i - k) > r else np.inf
                       for k in range(p)]
             assert direct[j] == pytest.approx(min(direct), abs=1e-8), (i, j)
+
+    def test_covariance_recurrence_along_long_diagonals(self):
+        # Rows advanced from row 0 by covariance_step, as the batch profile
+        # does, against centred dot products computed directly: entry (i, j)
+        # has run i steps down its diagonal.  The grid slice holds the
+        # -2 Hz level shift.
+        m = 64
+        x = default_channel()[79000:81500]
+        w = np.lib.stride_tricks.sliding_window_view(x, m)
+        mu = w.mean(axis=1)
+        centred = w - mu[:, None]
+        p = mu.size
+        df = np.zeros(p)
+        dg = np.zeros(p)
+        df[1:] = 0.5 * (x[m:] - x[:p - 1])
+        dg[1:] = (x[m:] - mu[1:]) + (x[:p - 1] - mu[:-1])
+        scale = m * w.std(axis=1)
+        row = centred @ centred[0]
+        t1, t2 = np.empty(p - 1), np.empty(p - 1)
+        worst = 0.0
+        for i in range(1, p):
+            covariance_step(row[:-1], df[1:], dg[1:], df[i], dg[i], row[1:], t1, t2)
+            row[0] = centred[0] @ centred[i]
+            if i % 100 == 0 or i == p - 1:
+                direct = centred @ centred[i]
+                # Relative to m * sigma_i * sigma_j: an error in the correlation.
+                worst = max(worst, (np.abs(row - direct) / (scale * scale[i])).max())
+        assert worst <= 1e-11
 
     def test_match_distance_refines_at_and_below_the_cut(self):
         m = 16
@@ -418,7 +446,7 @@ class TestStructuredSignals:
         return r.standard_cauchy(n)  # heavy tails
 
     def test_batch_matches_brute(self):
-        # 1e-5: the incremental dot-product recurrence drifts on
+        # 1e-5: the incremental covariance recurrence drifts on
         # heavy-tailed magnitudes; near-duplicate minima are refined
         # directly and agree much tighter.
         r = rng(31337)
@@ -504,6 +532,23 @@ class TestOffsetRobustness:
     @pytest.mark.parametrize("capacity", [None, 1024], ids=["no-eviction", "cap1024"])
     def test_stream_matches_oracle_on_the_default_channel(self, lo, hi, capacity):
         x = default_channel()[lo:hi]
+        positions = range(self.M + default_exclusion_radius(self.M), x.size - self.M + 1)
+        assert stream_error(x, self.M, capacity or x.size, positions) <= 1e-9
+
+    # Centring on the first sample leaves the grid slice's level shift in
+    # the window means; at lower noise the shifted level dominates further.
+    @pytest.mark.parametrize("noise_std", [0.002, 0.001])
+    def test_batch_matches_brute_after_the_level_shift_at_low_noise(self, noise_std):
+        x = default_channel(noise_std)[79000:81500]
+        err = np.abs(matrix_profile(x, self.M).distances
+                     - matrix_profile_brute(x, self.M).distances).max()
+        assert err <= 1e-6
+
+    @pytest.mark.parametrize("noise_std", [0.002, 0.001])
+    @pytest.mark.parametrize("capacity", [None, 1024], ids=["no-eviction", "cap1024"])
+    def test_stream_matches_oracle_after_the_level_shift_at_low_noise(self, noise_std,
+                                                                       capacity):
+        x = default_channel(noise_std)[79000:81500]
         positions = range(self.M + default_exclusion_radius(self.M), x.size - self.M + 1)
         assert stream_error(x, self.M, capacity or x.size, positions) <= 1e-9
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mpstream.core import znorm_distance
 from mpstream.detect import (
     AnomalyDetector,
     AnomalySegment,
@@ -261,6 +262,24 @@ class TestAnomalyDetector:
         for e, i in seen:
             assert e.position <= i  # causality
             assert e.position >= 0
+
+    def test_last_neighbor_is_the_trigger_of_last_profile(self):
+        # The neighbour position reproduces the reported value, lies outside
+        # the exclusion zone, and is None exactly when the value is.
+        m, r = 16, 4
+        x = sine_with_spike()
+        det = AnomalyDetector(m=m, config=DetectorConfig(threshold_value=3.0),
+                              capacity=256, exclusion_radius=r)
+        for k, v in enumerate(x):
+            det.step(v)
+            assert (det.last_neighbor is None) == (det.last_profile is None)
+            if det.last_neighbor is None:
+                assert k < m + r
+                continue
+            i, j = k - m + 1, det.last_neighbor
+            assert k + 1 - 256 <= j <= i - r - 1
+            assert znorm_distance(x[i:i + m], x[j:j + m]) == pytest.approx(
+                det.last_profile, abs=1e-9)
 
     def test_non_finite_sample_rejected_state_unchanged(self):
         det = AnomalyDetector(m=8, config=DetectorConfig(warmup=50), capacity=64)

@@ -30,6 +30,15 @@ class TestConstruction:
             StreamingProfile(16, capacity=20)
         StreamingProfile(16, capacity=32)  # boundary is allowed
 
+    def test_exclusion_radius_must_leave_a_candidate(self):
+        # A full window holds capacity - m - exclusion_radius candidates.
+        with pytest.raises(ValueError, match="exclusion_radius"):
+            StreamingProfile(4, capacity=8, exclusion_radius=4)
+        sp = StreamingProfile(4, capacity=8, exclusion_radius=3)  # one candidate
+        results = feed(sp, rng(1).normal(size=100))
+        assert all(v is None for v in results[:7])
+        assert all(v is not None for v in results[7:])
+
     def test_warmup_returns_nothing(self):
         sp = StreamingProfile(4, capacity=8, exclusion_radius=1)
         results = feed(sp, [1.0, 2.0, 3.0, 4.0])
