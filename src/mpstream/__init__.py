@@ -10,7 +10,6 @@ from mpstream.core import (
     matrix_profile,
     matrix_profile_brute,
     rolling_stats,
-    sliding_dot_products,
     znorm_distance,
 )
 from mpstream.detect import (

@@ -4,17 +4,16 @@ The profile of a series is, for every length-``m`` subsequence, the distance
 to its nearest neighbor elsewhere in the series, excluding trivial
 self-matches around the subsequence's own position.  Two implementations are
 provided: :func:`matrix_profile_brute`, a direct all-pairs reference, and
-:func:`matrix_profile`, an O(n^2)-time / O(n)-space version built on the
-centred covariance recurrence of SCAMP (Zimmerman et al., "Matrix Profile
-XIV", SoCC 2019).  Both share the same degenerate conventions for
-zero-variance (flat) subsequences.
+:func:`matrix_profile`, an O(n^2)-time / O(n)-space sweep of the streaming
+profile over the whole series (see :mod:`mpstream.stream`).  Both share the
+same degenerate conventions for zero-variance (flat) subsequences.
 
 :func:`covariance_step`, :func:`correlation_scores` and
-:func:`match_distance` are the distance kernel that :func:`matrix_profile`
-shares with the streaming left profile: the first advances the centred
-covariances of one subsequence with every candidate to the next
-subsequence, the second scores every candidate, the third turns the
-winner's score into its distance.
+:func:`match_distance` are the distance kernel of both, on the centred
+covariance recurrence of SCAMP (Zimmerman et al., "Matrix Profile XIV",
+SoCC 2019): the first advances the centred covariances of one subsequence
+with every candidate to the next subsequence, the second scores every
+candidate, the third turns the winner's score into its distance.
 
 Apart from the buffers the kernel fills, everything here is a pure
 function of its inputs.
@@ -36,7 +35,6 @@ __all__ = [
     "default_exclusion_radius",
     "rolling_stats",
     "znorm_distance",
-    "sliding_dot_products",
     "covariance_step",
     "correlation_scores",
     "match_distance",
@@ -188,20 +186,6 @@ def znorm_distance(a, b) -> float:
     return _pair_distance(a, b, m)
 
 
-def sliding_dot_products(query, series) -> np.ndarray:
-    """Dot product of ``query`` against every aligned window of ``series``.
-
-    ``out[j] = sum_k query[k] * series[j + k]`` for j in 0..n-m.
-    """
-    q = np.asarray(query, dtype=np.float64)
-    x = _as_samples(series)
-    if q.ndim != 1 or q.size < 1:
-        raise ValueError("query must be a non-empty one-dimensional sequence")
-    if q.size > x.size:
-        raise ValueError(f"query length {q.size} exceeds series length {x.size}")
-    return np.correlate(x, q, mode="valid")
-
-
 def _znorm_windows(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """All windows z-normalized row-wise with two-pass statistics of their
     own; flat rows (all samples equal) become zero vectors."""
@@ -332,14 +316,8 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
     """Matrix Profile in O(n^2) time and O(n) auxiliary space.
 
     Equivalent to :func:`matrix_profile_brute` within 1e-6 per element
-    (indices up to distance ties).  It runs on the samples minus the first
-    sample, which keeps a large common offset out of the sums.  ``cov[j]``
-    tracks the centred covariance of subsequences ``i`` and ``j``, advanced
-    from row to row by :func:`covariance_step`; row 0 is computed directly
-    and seeds column 0 by symmetry.  Each row is scored with
-    :func:`correlation_scores`, using 1/std cached once per call, and only
-    its winner's score goes on to :func:`match_distance`: the same kernel
-    the stream uses.
+    (indices up to distance ties).  It is the sweep of a
+    :class:`~mpstream.stream.StreamingProfile` that holds the whole series.
 
     Parameters
     ----------
@@ -353,44 +331,13 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
     x = _as_samples(series)
     m = _validate_window(m, x.size)
     r = _validate_radius(exclusion_radius, m)
-    n = x.size
-    p = n - m + 1
-    x = x - x[0]
+    p = x.size - m + 1
+    if r >= p - 1:  # every pair is a trivial match
+        return MatrixProfile(distances=np.full(p, np.inf),
+                             indices=np.full(p, SENTINEL_INDEX, dtype=np.int64), m=m)
+    from mpstream.stream import StreamingProfile  # stream imports this module
 
-    stats = rolling_stats(x, m)
-    means, stds = stats.means, stats.stds
-    inv_stds = np.divide(1.0, stds, out=np.zeros(p), where=stds != 0.0)
-    # Per-subsequence terms of the recurrence; 0 for the first, which has
-    # no predecessor (row and column 0 are computed directly).
-    df = np.zeros(p)
-    dg = np.zeros(p)
-    df[1:] = 0.5 * (x[m:] - x[:p - 1])
-    dg[1:] = (x[m:] - means[1:]) + (x[:p - 1] - means[:-1])
-    cov_row0 = sliding_dot_products(x[:m] - means[0], x)
-
-    distances = np.full(p, np.inf)
-    indices = np.full(p, SENTINEL_INDEX, dtype=np.int64)
-    score = np.empty(p)
-    tmp = np.empty(p)
-    cov = cov_row0.copy()
-    prev = np.empty(p)
-    # score and tmp double as the recurrence's scratch.
-    df_tail, dg_tail = df[1:], dg[1:]
-    s_head, t_head = score[:p - 1], tmp[:p - 1]
-    for i in range(p):
-        if i:
-            cov, prev = prev, cov
-            covariance_step(prev[:-1], df_tail, dg_tail, df[i], dg[i], cov[1:],
-                            s_head, t_head)
-            cov[0] = cov_row0[i]
-        isig = float(inv_stds[i])
-        correlation_scores(cov, isig, inv_stds, score)
-        score[max(0, i - r):min(p, i + r + 1)] = -np.inf
-        j = int(score.argmax())
-        if score[j] > -np.inf:
-            distances[i] = match_distance(x, m, i, j, score[j], isig)
-            indices[i] = j
-    return MatrixProfile(distances=distances, indices=indices, m=m)
+    return StreamingProfile(m, max(x.size, 2 * m), r)._sweep(x)
 
 
 def discords(profile: MatrixProfile, k: int, exclusion_radius: int | None = None) -> list[tuple[int, float]]:

@@ -124,7 +124,6 @@ class LabeledDataset:
 
     channel: TimeSeries
     truth: list[AnomalySegment]
-    config: GeneratorConfig
 
     def __post_init__(self):
         segs = self.truth
@@ -216,7 +215,7 @@ def inject_fault(base: TimeSeries, fault: FaultSpec, config: GeneratorConfig,
 
     truth = [AnomalySegment(s, e, label=kind.value)]
     channel = TimeSeries(samples=x, sample_rate_hz=base.sample_rate_hz)
-    return LabeledDataset(channel=channel, truth=truth, config=config)
+    return LabeledDataset(channel=channel, truth=truth)
 
 
 @dataclass(frozen=True)
@@ -293,7 +292,7 @@ def four_fault_dataset(config: GeneratorConfig | None = None,
         injected = inject_fault(signal, f, config, seed=_fault_seed(config.seed, i))
         signal = injected.channel
         truth.extend(injected.truth)
-    return LabeledDataset(channel=signal, truth=truth, config=config)
+    return LabeledDataset(channel=signal, truth=truth)
 
 
 def _fault_seed(seed: int, ordinal: int) -> int:

@@ -2,10 +2,11 @@
 
 Each appended sample completes a new subsequence whose z-normalized distance
 profile against all older in-window subsequences is evaluated in O(window)
-work, using the centred covariance recurrence the batch profile runs row by
-row.  The minimum becomes the subsequence's left-profile value, which is
-what a causal detector consumes: the stream never looks at samples that
-have not arrived yet.
+work, using the centred covariance recurrence of :mod:`mpstream.core`.  The
+minimum becomes the subsequence's left-profile value, which is what a
+causal detector consumes: the stream never looks at samples that have not
+arrived yet.  The batch profile, :func:`~mpstream.core.matrix_profile`, is
+a sweep of a stream that holds the whole series and so never evicts.
 
 Memory is O(capacity) regardless of how many samples are ingested; the
 oldest sample is evicted once the window is full.  The stream keeps no
@@ -33,6 +34,10 @@ from mpstream.core import (
 
 __all__ = ["StreamingProfile"]
 
+# Samples between a sweep's resyncs: append's own, every `capacity` samples,
+# never fires in a stream that holds the whole series.
+_SWEEP_RESYNC = 8192
+
 
 class StreamingProfile:
     """Fixed-memory left Matrix Profile of a sample stream.
@@ -47,16 +52,15 @@ class StreamingProfile:
         Trivial-match half-width, default ``ceil(m/4)``.
 
     :meth:`append` is the whole per-sample path.  It advances the centred
-    covariances of the newest subsequence with every retained one by the
-    batch profile's kernel (:func:`~mpstream.core.covariance_step`), scores
-    them with :func:`~mpstream.core.correlation_scores` and turns the
-    winner's score into its distance with
-    :func:`~mpstream.core.match_distance`.  Per subsequence it keeps 1/std
-    and the recurrence's two terms ``df`` and ``dg``, cached once when the
-    subsequence arrives; the window's variance is the recurrence's own
-    diagonal, and its mean comes from a compensated running sum.  That is
-    the only search, and past values are not stored: :meth:`profile`
-    rebuilds them by replaying the retained samples.
+    covariances of the newest subsequence with every retained one by
+    :func:`~mpstream.core.covariance_step`, scores them with
+    :func:`~mpstream.core.correlation_scores` and turns the winner's score
+    into its distance with :func:`~mpstream.core.match_distance`.  Per
+    subsequence it keeps 1/std and the recurrence's two terms ``df`` and
+    ``dg``, cached once when the subsequence arrives; the window's variance
+    is the recurrence's own diagonal, and its mean comes from a compensated
+    running sum.  That is the only search, and past values are not stored:
+    :meth:`profile` rebuilds them by replaying the retained samples.
 
     Samples are stored minus the first sample, which leaves every distance
     unchanged but keeps a large common offset (a 50 Hz level) out of the
@@ -208,6 +212,52 @@ class StreamingProfile:
                                    self._t1[:hi - start])
         i = int(score.argmax())
         return match_distance(buf, m, l, start + i, score[i], isig), self._offset + start + i
+
+    def _sweep(self, x: np.ndarray) -> MatrixProfile:
+        """Full profile of ``x``, appended to this fresh stream, which must
+        hold all of it.  :meth:`append` gives each subsequence its left
+        neighbor; the covariances it computes score the newest subsequence
+        against every earlier one outside the zone, ``cov * (1/std_new)`` in
+        the earlier one's units, and a strict ``>`` keeps the first of tied
+        later neighbors.  Flat subsequences take the flat rule afterwards.
+        The later neighbor wins only where it is strictly closer.
+        """
+        m, r = self.m, self.exclusion_radius
+        p = x.size - m + 1
+        distances = np.full(p, np.inf)
+        indices = np.full(p, SENTINEL_INDEX, dtype=np.int64)
+        later = np.full(p, -np.inf)  # best later score, in each one's units
+        later_at = np.zeros(p, dtype=np.int64)
+        won = np.empty(p, dtype=bool)
+        cov, isig, score = self._cov, self._isig, self._t1
+        for k, v in enumerate(x.tolist()):
+            if k > m and k % _SWEEP_RESYNC == 0:  # as append's own resync
+                w = self._buf[k - m:k]
+                self._s1, self._c1 = float(np.sum(w)), 0.0
+                cov[:k - m + 1] = np.correlate(self._buf[:k], w - self._s1 / m, "valid")
+            res = self.append(v)
+            if res is None:  # no candidate outside the zone yet
+                continue
+            l = k - m + 1
+            distances[l], indices[l] = res
+            hi = l - r
+            np.multiply(cov[:hi], isig[l], out=score[:hi])
+            np.greater(score[:hi], later[:hi], out=won[:hi])
+            np.copyto(later[:hi], score[:hi], where=won[:hi])
+            np.copyto(later_at[:hi], l, where=won[:hi])
+
+        flat = isig[:p] == 0.0
+        for i in range(p - r - 1):
+            if flat[i]:
+                lo = i + r + 1
+                j = lo + int(flat[lo:].argmax())
+                s = float(flat[j])
+            else:
+                j, s = int(later_at[i]), float(later[i])
+            d = match_distance(self._buf, m, i, j, s, float(isig[i]))
+            if d < distances[i]:
+                distances[i], indices[i] = d, j
+        return MatrixProfile(distances=distances, indices=indices, m=m)
 
     def profile(self) -> MatrixProfile:
         """Snapshot of the left profile over the retained window.

@@ -40,12 +40,6 @@ def naive_znorm_distance(a, b):
     return math.sqrt(min(max(d2, 0.0), 4.0 * m))
 
 
-def naive_sliding_dots(query, series):
-    m = len(query)
-    return [sum(query[k] * series[j + k] for k in range(m))
-            for j in range(len(series) - m + 1)]
-
-
 def naive_matrix_profile(xs, m, radius):
     """All-pairs profile; returns (distances, indices) lists with
     (inf, -1) sentinels. Ties break to the lowest index."""
@@ -157,5 +151,28 @@ def windowed_left_profile(xs, m, radius, capacity, positions):
             diff = z[lo:hi] - z[q]
             d2 = np.minimum(np.einsum("ij,ij->i", diff, diff), 4.0 * m)
             d2[flat[lo:hi]] = 2.0 * m
+        out.append(math.sqrt(d2.min()))
+    return np.array(out)
+
+
+def profile_at(xs, m, radius, positions):
+    """Full-profile values (the nearest neighbor on either side, outside
+    the exclusion zone) of the subsequences starting at ``positions``.
+
+    Distances are summed directly over explicitly z-normalized windows,
+    like windowed_left_profile.  +inf where no candidate is left.
+    """
+    import numpy as np
+
+    z, flat = _znormalized(np.asarray(xs, dtype=np.float64), m)
+    out = []
+    for i in positions:
+        if flat[i]:
+            d2 = np.where(flat, 0.0, 2.0 * m)
+        else:
+            diff = z - z[i]
+            d2 = np.minimum(np.einsum("ij,ij->i", diff, diff), 4.0 * m)
+            d2[flat] = 2.0 * m
+        d2[max(0, i - radius):i + radius + 1] = np.inf
         out.append(math.sqrt(d2.min()))
     return np.array(out)

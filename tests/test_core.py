@@ -16,7 +16,6 @@ from mpstream.core import (
     matrix_profile,
     matrix_profile_brute,
     rolling_stats,
-    sliding_dot_products,
     znorm_distance,
 )
 
@@ -27,8 +26,8 @@ from oracles import (
     naive_left_profile,
     naive_matrix_profile,
     naive_rolling_stats,
-    naive_sliding_dots,
     naive_znorm_distance,
+    profile_at,
     windowed_left_profile,
 )
 
@@ -272,34 +271,6 @@ class TestCorrelationKernel:
             assert match_distance(x, m, i, j, -1.5 * scale, isig) == 2.0 * math.sqrt(m)
 
 
-class TestSlidingDotProducts:
-    def test_picks_first_elements(self):
-        assert np.array_equal(sliding_dot_products([1, 0], [3, 5, 7]), [3, 5])
-
-    def test_window_sums(self):
-        assert np.array_equal(sliding_dot_products([1, 1], [1, 2, 3]), [3, 5])
-
-    def test_hand_example(self):
-        # Direct evaluation: [2*1-1*0+3*2, 2*0-1*2+3*1, 2*2-1*1+3*4].
-        out = sliding_dot_products([2, -1, 3], [1, 0, 2, 1, 4])
-        assert np.array_equal(out, naive_sliding_dots([2, -1, 3], [1, 0, 2, 1, 4]))
-        assert np.array_equal(out, [8, 1, 15])
-
-    def test_query_longer_than_series(self):
-        with pytest.raises(ValueError):
-            sliding_dot_products([1, 2, 3], [1, 2])
-        for query in ([], [[1.0, 2.0]]):
-            with pytest.raises(ValueError, match="non-empty one-dimensional"):
-                sliding_dot_products(query, [1, 2, 3])
-
-    def test_random_against_naive(self):
-        r = rng(3)
-        q = r.normal(size=5)
-        x = r.normal(size=40)
-        assert np.allclose(sliding_dot_products(q, x),
-                           naive_sliding_dots(list(q), list(x)), atol=1e-12)
-
-
 SPIKE_SERIES = [0, 1, 0, 1, 0, 1, 0, 8, 0, 1, 0, 1]
 
 
@@ -393,6 +364,53 @@ class TestBatchProfile:
         assert default_exclusion_radius(64) == 16
         assert default_exclusion_radius(5) == 2
         assert default_exclusion_radius(4) == 1
+
+    @staticmethod
+    def assert_equals_brute(x, m, r):
+        brute = matrix_profile_brute(x, m, exclusion_radius=r)
+        fast = matrix_profile(x, m, exclusion_radius=r)
+        assert np.array_equal(fast.indices, brute.indices)
+        assert np.array_equal(np.isfinite(fast.distances), np.isfinite(brute.distances))
+        finite = np.isfinite(brute.distances)
+        assert np.abs(fast.distances[finite] - brute.distances[finite]).max(initial=0.0) <= 1e-9
+        return fast
+
+    def test_shorter_than_two_windows(self):
+        # One subsequence, then m <= n < 2m: the stream holds 2m samples.
+        x = rng(11).normal(size=31)
+        for n, r in [(16, 0), (20, 0), (24, 1), (31, 3), (31, 12)]:
+            self.assert_equals_brute(x[:n], 16, r)
+
+    def test_radius_at_and_past_the_last_pair(self):
+        # p - 2 leaves the single pair (0, p - 1); from p - 1 on every pair
+        # is trivial, and nothing is sized by the radius: a buffer of
+        # m + r + 1 samples would take about 16 TB at r = 10**12.
+        x = rng(12).normal(size=60)
+        m = 8
+        p = x.size - m + 1
+        mp = self.assert_equals_brute(x, m, p - 2)
+        assert mp.indices.tolist() == [p - 1] + [SENTINEL_INDEX] * (p - 2) + [0]
+        for r in (p - 1, 10**12):
+            mp = matrix_profile(x, m, exclusion_radius=r)
+            assert mp.indices.tolist() == [SENTINEL_INDEX] * p
+            assert np.isposinf(mp.distances).all()
+
+    def test_ties_go_to_the_lowest_index(self):
+        # Integer samples whose window means are exact: every repeat of a
+        # window scores exactly alike, so the first period's subsequences
+        # must pick their earliest later repeat.
+        mp = self.assert_equals_brute(np.tile([0.0, 1.0, 3.0, 1.0], 8), 4, 1)
+        assert mp.indices[:4].tolist() == [4, 5, 6, 7]
+
+    def test_flat_runs_at_both_ends(self):
+        # Flat subsequences at the start have flat later neighbors only;
+        # those at the end have flat earlier ones only, or none at all.
+        noise = rng(13).normal(size=60)
+        flat = np.full(20, 0.25)
+        for x in (np.concatenate([flat, noise]), np.concatenate([noise, flat]),
+                  np.concatenate([flat, noise, flat + 1.0])):
+            for r in (0, 2, 12):
+                self.assert_equals_brute(x, 8, r)
 
 
 class TestDiscords:
@@ -560,6 +578,37 @@ class TestOffsetRobustness:
         # and one 18k samples after the grid fault.
         positions = np.union1d(positions, [40070, 40100, 80500, 98780 - self.M + 1])
         assert stream_error(x, self.M, 8192, positions) <= 1e-9
+
+    # The batch runs on the stream's statistics, so it meets the stream's
+    # 1e-9 on every slice above; the 1e-6 contract stays the documented one.
+    @pytest.mark.parametrize("lo, hi, noise_std", [(0, 3000, None), (39000, 41500, None),
+                                                   (79000, 81500, None),
+                                                   (79000, 81500, 0.002),
+                                                   (79000, 81500, 0.001)],
+                             ids=["start", "plateau", "grid", "grid-0.002", "grid-0.001"])
+    def test_batch_matches_brute_to_the_stream_contract(self, lo, hi, noise_std):
+        x = default_channel(noise_std)[lo:hi]
+        err = np.abs(matrix_profile(x, self.M).distances
+                     - matrix_profile_brute(x, self.M).distances).max()
+        assert err <= 1e-9
+
+    def test_long_batch_matches_oracle_across_sweep_resyncs(self):
+        # 20000 samples around the grid fault: the sweep recomputes its
+        # newest covariance row from the samples at 8192 and 16384.
+        x = default_channel()[70000:90000]
+        positions = np.sort(rng(15).choice(x.size - self.M + 1, size=100, replace=False))
+        want = profile_at(x, self.M, default_exclusion_radius(self.M), positions)
+        assert np.abs(matrix_profile(x, self.M).distances[positions] - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("capacity", [1024, 8192])
+    def test_stream_past_many_resyncs(self, capacity):
+        # 3e5 samples: the default channel at three seeds back to back.
+        # Only the periodic resync keeps the recurrence's rounding bounded.
+        x = np.concatenate([four_fault_dataset(GeneratorConfig(seed=s)).channel.samples
+                            for s in (1, 2, 3)])
+        positions = np.sort(rng(14).choice(np.arange(x.size - 100_000, x.size - self.M + 1),
+                                           size=100, replace=False))
+        assert stream_error(x, self.M, capacity, positions) <= 1e-9
 
     def test_rolling_stats_on_the_default_channel(self):
         x = default_channel()

@@ -199,7 +199,7 @@ class TestFourFaultDataset:
     def test_overlapping_truth_rejected(self):
         base = generate_base(SMALL)
         with pytest.raises(ValueError, match="sorted and disjoint"):
-            LabeledDataset(base, [AnomalySegment(0, 10), AnomalySegment(5, 15)], SMALL)
+            LabeledDataset(base, [AnomalySegment(0, 10), AnomalySegment(5, 15)])
 
     def test_layout_must_fit(self):
         with pytest.raises(ValueError):
