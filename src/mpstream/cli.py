@@ -7,9 +7,10 @@ keys rejected) plus a few overriding flags.  Each key is a field of
 :class:`~mpstream.generate.FourFaultLayout`,
 :class:`~mpstream.detect.DetectorConfig`), which holds its default and its
 validation.  :func:`main` returns the exit code: 0 success, 1 usage or
-config error (including an unknown command or flag, and a config value of
-the wrong JSON type), 2 data error; ``--help`` exits 0.  Set
-``MPSTREAM_LOG=debug|info|warning`` to control diagnostics on stderr.
+config error (including an unknown command or flag, a config value of the
+wrong JSON type, and a value too large to allocate), 2 data error;
+``--help`` exits 0.  Set ``MPSTREAM_LOG=debug|info|warning`` to control
+diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -315,6 +316,10 @@ def main(argv=None) -> int:
         return cmd_profile(cfg, in_path, out)
     except ConfigError as exc:
         print(f"mpstream: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # sized by a config value or an argument
+        print(f"mpstream: error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
     except DataError as exc:
         print(f"mpstream: error: {exc}", file=sys.stderr)

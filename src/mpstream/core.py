@@ -9,10 +9,10 @@ profile over the whole series (see :mod:`mpstream.stream`).  Both share the
 same degenerate conventions for zero-variance (flat) subsequences.
 
 :func:`covariance_step`, :func:`correlation_scores` and
-:func:`match_distance` are the distance kernel of both, on the centred
-covariance recurrence of SCAMP (Zimmerman et al., "Matrix Profile XIV",
-SoCC 2019): the first advances the centred covariances of one subsequence
-with every candidate to the next subsequence, the second scores every
+:func:`match_distance`, the stream's distance kernel (the brute force uses
+none of it), run SCAMP's centred covariance recurrence (Zimmerman et al.,
+"Matrix Profile XIV", SoCC 2019): the first advances the covariances of one
+subsequence with every candidate to the next, the second scores every
 candidate, the third turns the winner's score into its distance.
 
 Apart from the buffers the kernel fills, everything here is a pure
@@ -214,7 +214,7 @@ def _pair_distance(a: np.ndarray, b: np.ndarray, m: int) -> float:
     return math.sqrt(min(max(d2, 0.0), 4.0 * m))
 
 
-def covariance_step(prev, df, dg, df_i, dg_i, out, t1, t2):
+def covariance_step(prev, df, dg, df_i, dg_i, out, t1):
     """Centred covariances of subsequence ``i`` from those of ``i - 1``.
 
     ``prev[j]`` is the covariance of subsequence ``i - 1`` with candidate
@@ -223,13 +223,13 @@ def covariance_step(prev, df, dg, df_i, dg_i, out, t1, t2):
     ``prev[j] + df_i * dg[j] + dg_i * df[j]``, where a subsequence ``j``
     caches ``df[j] = (x[j+m-1] - x[j-1]) / 2`` and
     ``dg[j] = (x[j+m-1] - mu_j) + (x[j-1] - mu_{j-1})``.  ``out`` may
-    overlap ``prev`` (the stream shifts one buffer by one); ``t1`` and
-    ``t2`` are scratch of the same length.
+    overlap ``prev`` (the stream shifts one buffer by one): ``prev`` goes
+    into the scratch ``t1``, of the same length, before ``out`` is written.
     """
     np.multiply(dg, df_i, out=t1)
     np.add(t1, prev, out=t1)
-    np.multiply(df, dg_i, out=t2)
-    return np.add(t1, t2, out=out)
+    np.multiply(df, dg_i, out=out)
+    return np.add(t1, out, out=out)
 
 
 def correlation_scores(cov, isig, inv_stds, out):

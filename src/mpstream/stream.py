@@ -34,10 +34,6 @@ from mpstream.core import (
 
 __all__ = ["StreamingProfile"]
 
-# Samples between a sweep's resyncs: append's own, every `capacity` samples,
-# never fires in a stream that holds the whole series.
-_SWEEP_RESYNC = 8192
-
 
 class StreamingProfile:
     """Fixed-memory left Matrix Profile of a sample stream.
@@ -71,8 +67,7 @@ class StreamingProfile:
     copies.
     """
 
-    def __init__(self, m: int, capacity: int = 8192,
-                 exclusion_radius: int | None = None):
+    def __init__(self, m: int, capacity: int, exclusion_radius: int | None = None):
         m = int(m)
         capacity = int(capacity)
         if m < 2:
@@ -96,7 +91,6 @@ class StreamingProfile:
         self._df = np.empty(size)    # recurrence terms, see covariance_step
         self._dg = np.empty(size)
         self._t1 = np.empty(capacity)  # scratch: avoids per-append allocation
-        self._t2 = np.empty(capacity)
         self._start = 0          # buffer index of the oldest retained sample
         self._end = 0            # one past the newest sample
         self._offset = 0         # absolute stream position of buf[0]
@@ -178,10 +172,10 @@ class StreamingProfile:
         self._dg[l] = dg_l
 
         # The running sum and the covariances are recomputed from the
-        # samples every `capacity` appends: short-lag covariances never
-        # leave the window, so their recurrence rounding would otherwise
-        # persist.
-        if count == m or count % cap == 0:
+        # samples every min(capacity, 8192) appends (a batch sweep's stream
+        # never fills): short-lag covariances never leave the window, so
+        # their recurrence rounding would otherwise persist.
+        if count == m or count % min(cap, 8192) == 0:
             w = buf[l:end]
             self._s1 = float(np.sum(w))
             self._c1 = 0.0
@@ -194,7 +188,7 @@ class StreamingProfile:
             lo = start or 1
             k = l + 1 - lo
             covariance_step(cov[lo - 1:l], self._df[lo:l + 1], self._dg[lo:l + 1],
-                            df_l, dg_l, cov[lo:l + 1], self._t1[:k], self._t2[:k])
+                            df_l, dg_l, cov[lo:l + 1], self._t1[:k])
             if not start:
                 cov[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
         # The variance is the recurrence's own diagonal.
@@ -215,12 +209,13 @@ class StreamingProfile:
 
     def _sweep(self, x: np.ndarray) -> MatrixProfile:
         """Full profile of ``x``, appended to this fresh stream, which must
-        hold all of it.  :meth:`append` gives each subsequence its left
-        neighbor; the covariances it computes score the newest subsequence
-        against every earlier one outside the zone, ``cov * (1/std_new)`` in
-        the earlier one's units, and a strict ``>`` keeps the first of tied
-        later neighbors.  Flat subsequences take the flat rule afterwards.
-        The later neighbor wins only where it is strictly closer.
+        hold all of it.  :meth:`append` (resyncing as in any stream) gives
+        each subsequence its left neighbor; the covariances it computes score
+        the newest subsequence against every earlier one outside the zone,
+        ``cov * (1/std_new)`` in the earlier one's units, and a strict ``>``
+        keeps the first of tied later neighbors.  Flat subsequences take the
+        flat rule afterwards.  The later neighbor wins only where it is
+        strictly closer.
         """
         m, r = self.m, self.exclusion_radius
         p = x.size - m + 1
@@ -231,10 +226,6 @@ class StreamingProfile:
         won = np.empty(p, dtype=bool)
         cov, isig, score = self._cov, self._isig, self._t1
         for k, v in enumerate(x.tolist()):
-            if k > m and k % _SWEEP_RESYNC == 0:  # as append's own resync
-                w = self._buf[k - m:k]
-                self._s1, self._c1 = float(np.sum(w)), 0.0
-                cov[:k - m + 1] = np.correlate(self._buf[:k], w - self._s1 / m, "valid")
             res = self.append(v)
             if res is None:  # no candidate outside the zone yet
                 continue

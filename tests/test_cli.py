@@ -414,6 +414,56 @@ class TestInterface:
         assert main(["evaluate", str(events), str(truth), "100"]) == 2
 
 
+def _no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+
+class TestOutOfMemory:
+    """A config value or an argument too large to allocate exits 1 with one
+    error line.  The allocating call is stubbed to raise MemoryError, so no
+    test really asks for terabytes."""
+
+    def assert_out_of_memory(self, capsys, argv, detail):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"mpstream: error: out of memory: {detail}\n"
+
+    def test_generate_duration(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("mpstream.generate.generate_base", _no_memory)
+        cfg = write_config(tmp_path, duration_s=1_000_000)
+        self.assert_out_of_memory(capsys, ["generate", "--config", cfg, "--out",
+                                           str(tmp_path / "x.csv")],
+                                  "Unable to allocate 14.6 TiB for an array")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_detect_capacity(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data.csv"
+        assert main(["generate", "--config", write_config(tmp_path, **{
+            **SMALL, "duration_s": 0.2, "fault_start_s": 0.1,
+            "fault_duration_s": 0.01}), "--out", str(data)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("mpstream.detect.StreamingProfile", _no_memory)
+        cfg = write_config(tmp_path, capacity=10 ** 12)
+        self.assert_out_of_memory(capsys, ["detect", "--config", cfg, "--out",
+                                           str(tmp_path / "e.csv"), str(data)],
+                                  "Unable to allocate 14.6 TiB for an array")
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_evaluate_length(self, tmp_path, capsys, monkeypatch):
+        # A MemoryError without a message still gets a reason.
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("mpstream.cli.point_confusion", no_memory)
+        events = tmp_path / "events.csv"
+        events.write_text("kind,position,profile_value\nstart,10,5.0\nend,20,1.0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_idx,end_idx,label\n5,15,x\n")
+        self.assert_out_of_memory(capsys, ["evaluate", str(events), str(truth),
+                                           str(10 ** 12)], "allocation failed")
+        assert capsys.readouterr().out == ""
+
+
 class TestFullDefaultPipeline:
     def test_four_fault_defaults_end_to_end(self, tmp_path, capsys):
         # Full-scale default run through the CLI, including the 9-digit CSV
