@@ -8,9 +8,10 @@ keys rejected) plus a few overriding flags.  Each key is a field of
 :class:`~mpstream.detect.DetectorConfig`), which holds its default and its
 validation.  :func:`main` returns the exit code: 0 success, 1 usage or
 config error (including an unknown command or flag, a config value of the
-wrong JSON type, and a value too large to allocate), 2 data error;
-``--help`` exits 0.  Set ``MPSTREAM_LOG=debug|info|warning`` to control
-diagnostics on stderr.
+wrong JSON type, and a config value too large to allocate, such as a
+``capacity`` of 10**12; the length given to ``evaluate`` allocates nothing),
+2 data error; ``--help`` exits 0.  Set ``MPSTREAM_LOG=debug|info|warning``
+to control diagnostics on stderr; any other value means ``warning``.
 """
 
 from __future__ import annotations
@@ -285,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _configure_logging():
     level = os.environ.get("MPSTREAM_LOG", "warning").upper()
     logging.basicConfig(stream=sys.stderr,
-                        level=getattr(logging, level, logging.WARNING),
+                        level=level if level in ("DEBUG", "INFO") else "WARNING",
                         format="%(name)s: %(levelname)s: %(message)s")
 
 
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"mpstream: error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # sized by a config value or an argument
+    except MemoryError as exc:  # sized by a config value
         print(f"mpstream: error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return 1

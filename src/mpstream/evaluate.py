@@ -3,14 +3,13 @@
 Anomalies are rare, so a single point-wise score can be misleading; every
 report therefore carries both views.  Segment scoring uses any-overlap
 matching, with signed boundary latencies for matched pairs: positive means
-the prediction is late, negative early.
+the prediction is late, negative early.  Point counts come from segment
+bounds, never from an array of the stream's length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from mpstream.detect import AnomalySegment
 
@@ -70,26 +69,25 @@ class SegmentReport:
     matches: list[SegmentMatch] = field(default_factory=list)
 
 
-def _rasterize(segments, n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    for seg in segments:
+def _covered(segments, n: int) -> int:
+    """Samples of ``0..n`` covered by ``segments``, overlaps counted once."""
+    covered = reach = 0
+    for seg in sorted(segments, key=lambda s: s.start):
         if seg.start < 0 or seg.end > n:
             raise ValueError(f"segment [{seg.start}, {seg.end}) out of range 0..{n}")
-        mask[seg.start:seg.end] = True
-    return mask
+        covered += max(0, seg.end - max(seg.start, reach))
+        reach = max(reach, seg.end)
+    return covered
 
 
 def point_confusion(pred, truth, n: int) -> ConfusionCounts:
-    """Per-sample confusion counts over ``n`` samples."""
+    """Per-sample confusion counts over ``n`` samples, from segment bounds."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = _rasterize(pred, n)
-    t = _rasterize(truth, n)
-    tp = int(np.count_nonzero(p & t))
-    fp = int(np.count_nonzero(p & ~t))
-    fn = int(np.count_nonzero(~p & t))
-    tn = n - tp - fp - fn
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    pred, truth = list(pred), list(truth)
+    p, t = _covered(pred, n), _covered(truth, n)
+    tp = p + t - _covered(pred + truth, n)
+    return ConfusionCounts(tp=tp, fp=p - tp, fn=t - tp, tn=n - p - t + tp)
 
 
 def classification_metrics(c: ConfusionCounts) -> Metrics:

@@ -90,6 +90,8 @@ def _rows(path, header):
                 yield lineno, row
     except OSError as exc:
         raise DataError(f"cannot read input: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
 
@@ -161,6 +163,8 @@ def read_events(path) -> list[DetectionEvent]:
             out.append(DetectionEvent(EventKind(kind), int(position), float(value)))
         except ValueError:
             raise DataError(f"{path}: line {lineno}: malformed event") from None
+        if not math.isfinite(out[-1].profile_value):
+            raise DataError(f"{path}: line {lineno}: non-finite number")
         if out[-1].position < 0:
             raise DataError(f"{path}: line {lineno}: negative position {position}")
     return out

@@ -176,3 +176,23 @@ def profile_at(xs, m, radius, positions):
         d2[max(0, i - radius):i + radius + 1] = np.inf
         out.append(math.sqrt(d2.min()))
     return np.array(out)
+
+
+def naive_point_confusion(pred, truth, n):
+    """(tp, fp, fn, tn) over ``n`` samples from one boolean per sample;
+    raises ValueError for a negative ``n`` or a segment outside 0..n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+    def mask(segments):
+        flags = [False] * n
+        for s in segments:
+            if s.start < 0 or s.end > n:
+                raise ValueError(f"segment [{s.start}, {s.end}) out of range 0..{n}")
+            for i in range(s.start, s.end):
+                flags[i] = True
+        return flags
+
+    pairs = list(zip(mask(pred), mask(truth)))
+    return (pairs.count((True, True)), pairs.count((True, False)),
+            pairs.count((False, True)), pairs.count((False, False)))

@@ -304,6 +304,27 @@ class TestEvaluate:
         assert main(["evaluate", str(events), str(truth), "100"]) == 2
         assert "line 2: negative" in capsys.readouterr().err
 
+    def test_huge_length_allocates_nothing(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text("kind,position,profile_value\nstart,10,5.0\nend,20,1.0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("start_idx,end_idx,label\n5,15,x\n")
+        assert main(["evaluate", str(events), str(truth), str(10 ** 12)]) == 0
+        assert "1/1 segments detected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_oversized_field_is_data_error(self, tmp_path, capsys, command):
+        data, events, truth = self._pipeline(tmp_path)
+        path = data if command == "detect" else truth
+        text = path.read_text()
+        path.write_text(text + "0,1," + "x" * 200_000 + "\n")
+        argv = (["detect", "--out", str(tmp_path / "e.csv"), str(data)]
+                if command == "detect" else ["evaluate", str(events), str(truth), "6000"])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"mpstream: error: {path}: line {len(text.splitlines()) + 1}: "
+            "field larger than field limit (131072)\n")
+
     def test_negative_length_is_usage_error(self, tmp_path):
         events = tmp_path / "events.csv"
         events.write_text("kind,position,profile_value\n")
@@ -386,6 +407,25 @@ class TestInterface:
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value, logged", [
+        ("basic_format", False), ("INFO", True)])
+    def test_log_level_names(self, tmp_path, value, logged):
+        # In a subprocess: under pytest the root logger already has
+        # handlers, so basicConfig would not check the level at all.
+        env = {**os.environ, "MPSTREAM_LOG": value,
+               "PYTHONPATH": str(Path(mpstream.__file__).parents[1])}
+        cfg = write_config(tmp_path, **{**SMALL, "duration_s": 0.2,
+                                        "fault_start_s": 0.1,
+                                        "fault_duration_s": 0.01})
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpstream", "generate", "--config", cfg,
+             "--out", str(tmp_path / "d.csv")],
+            stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr == ("mpstream: INFO: wrote 400 samples to "
+                               f"{tmp_path / 'd.csv'} (truth: {tmp_path / 'd.truth.csv'})\n"
+                               if logged else "")
+
     def test_log_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MPSTREAM_LOG", "info")
         cfg = write_config(tmp_path, **{**SMALL, "duration_s": 1.0,
@@ -419,9 +459,9 @@ def _no_memory(*args, **kwargs):
 
 
 class TestOutOfMemory:
-    """A config value or an argument too large to allocate exits 1 with one
-    error line.  The allocating call is stubbed to raise MemoryError, so no
-    test really asks for terabytes."""
+    """A config value too large to allocate exits 1 with one error line.
+    The allocating call is stubbed to raise MemoryError, so no test really
+    asks for terabytes."""
 
     def assert_out_of_memory(self, capsys, argv, detail):
         assert main(argv) == 1
@@ -449,19 +489,13 @@ class TestOutOfMemory:
                                   "Unable to allocate 14.6 TiB for an array")
         assert not (tmp_path / "e.csv").exists()
 
-    def test_evaluate_length(self, tmp_path, capsys, monkeypatch):
-        # A MemoryError without a message still gets a reason.
+    def test_bare_memory_error_gets_a_reason(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args):
             raise MemoryError
 
-        monkeypatch.setattr("mpstream.cli.point_confusion", no_memory)
-        events = tmp_path / "events.csv"
-        events.write_text("kind,position,profile_value\nstart,10,5.0\nend,20,1.0\n")
-        truth = tmp_path / "truth.csv"
-        truth.write_text("start_idx,end_idx,label\n5,15,x\n")
-        self.assert_out_of_memory(capsys, ["evaluate", str(events), str(truth),
-                                           str(10 ** 12)], "allocation failed")
-        assert capsys.readouterr().out == ""
+        monkeypatch.setattr("mpstream.generate.generate_base", no_memory)
+        self.assert_out_of_memory(capsys, ["generate", "--out", str(tmp_path / "x.csv")],
+                                  "allocation failed")
 
 
 class TestFullDefaultPipeline:

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from mpstream.evaluate import (
     point_confusion,
     segment_score,
 )
+from oracles import naive_point_confusion
 
 
 def seg(a, b, label=None):
@@ -33,12 +37,68 @@ class TestPointConfusion:
         assert c.total == 100
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            point_confusion([seg(90, 110)], [], 100)
-        with pytest.raises(ValueError):
-            point_confusion([], [seg(-5, 10)], 100)
+        for pred, truth in (([seg(90, 110)], []), ([seg(-1, 5)], []),
+                            ([], [seg(-5, 10)]), ([], [seg(95, 101)])):
+            with pytest.raises(ValueError, match="out of range 0..100"):
+                point_confusion(pred, truth, 100)
         with pytest.raises(ValueError, match="n must be nonnegative"):
             point_confusion([], [], -1)
+
+    def test_matches_mask_oracle(self):
+        rng = random.Random(13)
+
+        def segments(n):
+            out = []
+            for _ in range(rng.randint(0, 6)):
+                if out and rng.random() < 0.15:
+                    out.append(rng.choice(out))
+                elif rng.random() < 0.03:  # starts before 0 or ends after n
+                    a = rng.randint(-4, n)
+                    out.append(seg(a, a + 5) if a < 0 else seg(a, n + rng.randint(1, 3)))
+                elif n:
+                    a = rng.randrange(n)
+                    out.append(seg(a, rng.randint(a + 1, n)))
+            return out
+
+        seen = dict.fromkeys(["raised left", "raised right", "n=0", "empty",
+                              "duplicate", "unsorted", "overlapping"], 0)
+        for _ in range(4000):
+            n = 0 if rng.random() < 0.1 else rng.randint(1, 60)
+            pred, truth = segments(n), segments(n)
+            try:
+                expected = naive_point_confusion(pred, truth, n)
+            except ValueError:
+                seen["raised left"] += any(s.start < 0 for s in pred + truth)
+                seen["raised right"] += any(s.end > n for s in pred + truth)
+                with pytest.raises(ValueError, match="out of range"):
+                    point_confusion(pred, truth, n)
+                continue
+            c = point_confusion(pred, truth, n)
+            got = (c.tp, c.fp, c.fn, c.tn)
+            assert got == expected and all(type(v) is int for v in got), (pred, truth, n)
+            for side in (pred, truth):
+                starts = [s.start for s in side]
+                seen["n=0"] += n == 0
+                seen["empty"] += not side
+                seen["duplicate"] += len(set(side)) < len(side)
+                seen["unsorted"] += starts != sorted(starts)
+                seen["overlapping"] += any(
+                    a.start < b.end and b.start < a.end
+                    for i, a in enumerate(side) for b in side[i + 1:])
+        assert min(seen.values()) >= 50, seen
+
+    def test_memory_does_not_grow_with_n(self):
+        # The smaller n comes first: an implementation that allocates per
+        # sample fails its bound before it is asked for 10**12 of them.
+        for n in (10 ** 7, 10 ** 12):
+            tracemalloc.start()
+            try:
+                c = point_confusion([seg(0, 10)], [seg(5, 20)], n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (n, peak)
+            assert (c.tp, c.fp, c.fn, c.tn) == (5, 5, 10, n - 20)
 
 
 class TestMetrics:
@@ -154,7 +214,7 @@ class TestSegmentScore:
         assert (a.detected, a.missed, a.false_segments) == \
                (b.detected, b.missed, b.false_segments)
 
-    def test_rasterization_consistency(self):
+    def test_identical_segment_lists_score_perfectly(self):
         # Identical segment lists give precision = recall = 1.
         segs = [seg(10, 30), seg(50, 64)]
         m = classification_metrics(point_confusion(segs, segs, 100))

@@ -106,6 +106,13 @@ class TestEventsRoundTrip:
         with pytest.raises(DataError, match="line 2"):
             read_events(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_profile_value_names_line(self, tmp_path, value):
+        path = tmp_path / "events.csv"
+        path.write_text(f"kind,position,profile_value\nstart,1,2.0\nend,5,{value}\n")
+        with pytest.raises(DataError, match="line 3: non-finite number"):
+            read_events(path)
+
 
 class TestProfileTrace:
     def test_warmup_fields_empty(self, tmp_path):
