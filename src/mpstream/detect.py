@@ -77,6 +77,10 @@ class DetectorConfig:
     begins once calibration completes.  A calibrated quantile that is not
     > 0 (a flat calibration stretch) is a ValueError from
     :meth:`AnomalyDetector.step`.
+
+    Once detection begins, a step searches the ``hot_candidates`` most
+    recent candidates only, while that settles the chain (see
+    :meth:`FilterChain.settles`); events and thresholds stay exact.
     """
 
     threshold_value: float | None = None
@@ -87,6 +91,7 @@ class DetectorConfig:
     min_event_len: int = 3
     cooldown: int = 64
     warmup: int = 2000
+    hot_candidates: int = 1024
 
     def __post_init__(self):
         t = self.threshold_value
@@ -104,6 +109,8 @@ class DetectorConfig:
             raise ValueError("cooldown must be >= 0")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
+        if self.hot_candidates < 1:
+            raise ValueError("hot_candidates must be >= 1")
 
 
 def calibrate_threshold(values, q: float) -> float:
@@ -165,6 +172,14 @@ class FilterChain:
             self._cooldown_until = position + self.cooldown
         return [DetectionEvent(kind, self._run_start, float(value))]
 
+    def settles(self, position: int, bound: float) -> bool:
+        """True when every value <= ``bound`` gives the same :meth:`push`
+        outcome at ``position`` and emits no event, so that an upper bound
+        on the value may be pushed in its place."""
+        if self.in_anomaly:
+            return bound < self.exit_level and self._run + 1 < self.min_event_len
+        return bound <= self.enter_level or position < self._cooldown_until
+
 
 class AnomalyDetector:
     """Streaming detector: profile stream plus the filter chain.
@@ -173,7 +188,9 @@ class AnomalyDetector:
     events (possibly none) emitted by that sample.  ``last_profile`` holds
     the profile value produced by the most recent step and
     ``last_neighbor`` the absolute position of the subsequence it is the
-    distance to; both are None while the underlying stream is warming up.
+    distance to.  Both are None while the underlying stream is warming up
+    and on steps it settled from its hot candidates alone (see
+    :class:`DetectorConfig`), so every value reported is exact.
 
     Single-writer like the stream it wraps; independent detectors on
     distinct channels share no state and may run concurrently.
@@ -184,7 +201,8 @@ class AnomalyDetector:
         self.m = int(m)
         self.config = config if config is not None else DetectorConfig()
         self.stream = StreamingProfile(self.m, capacity=capacity,
-                                       exclusion_radius=exclusion_radius)
+                                       exclusion_radius=exclusion_radius,
+                                       hot_candidates=self.config.hot_candidates)
         self.threshold: float | None = self.config.threshold_value
         self.last_profile: float | None = None
         self.last_neighbor: int | None = None
@@ -195,12 +213,13 @@ class AnomalyDetector:
     def step(self, sample: float) -> list[DetectionEvent]:
         """Ingest one sample and return any events it produced."""
         sample_index = self.stream.count
-        result = self.stream.append(sample)
+        armed = self._chain is not None and sample_index >= self.config.warmup
+        result = self.stream.append(sample, self._chain.settles if armed else None)
         if result is None:
             self.last_profile = self.last_neighbor = None
             return []
         value, self.last_neighbor = result
-        self.last_profile = value
+        self.last_profile = None if self.last_neighbor is None else value
 
         if sample_index < self.config.warmup:
             return []

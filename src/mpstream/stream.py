@@ -15,6 +15,10 @@ its value.  A snapshot replays the retained window through a fresh stream,
 so it is the left profile of that window by construction and never reports
 a distance to a subsequence that is gone; it costs about as much as
 appending the window again.
+
+Given a ``settles`` predicate, an append searches the most recent
+candidates first and the whole window only when their best distance does
+not settle it, after DAMP (Lu et al., "Matrix Profile XXIV", KDD 2022).
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ from mpstream.core import (
 
 __all__ = ["StreamingProfile"]
 
+# Full-mode steps in a row whose hot best settles before hot mode resumes:
+# each entry into full mode costs a correlate over the older candidates.
+FULL_HOLD = 64
+
 
 class StreamingProfile:
     """Fixed-memory left Matrix Profile of a sample stream.
@@ -46,6 +54,9 @@ class StreamingProfile:
         Maximum retained samples; must be at least ``2 * m``.
     exclusion_radius : int, optional
         Trivial-match half-width, default ``ceil(m/4)``.
+    hot_candidates : int, optional
+        Candidates searched in hot mode (see below), the most recent ones;
+        default all of them, which makes every step exact.
 
     :meth:`append` is the whole per-sample path.  It advances the centred
     covariances of the newest subsequence with every retained one by
@@ -62,14 +73,28 @@ class StreamingProfile:
     unchanged but keeps a large common offset (a 50 Hz level) out of the
     running sum.
 
+    Given a ``settles`` predicate, a hot-mode :meth:`append` advances and
+    scores only the covariances of the ``hot_candidates`` most recent
+    candidates (lags up to ``exclusion_radius + hot_candidates``; older ones
+    go stale) and stops there if ``settles`` accepts their best distance.
+    Otherwise it rebuilds the stale ones from the samples and switches to
+    full mode, the exact step, until :data:`FULL_HOLD` steps in a row find
+    their hot best settled.  Counters: ``hot_steps`` and ``full_steps``
+    (their sum is the appends that returned a value), ``full_entries``,
+    ``resyncs`` (the first window's included) and ``compactions``.
+
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
     copies.
     """
 
-    def __init__(self, m: int, capacity: int, exclusion_radius: int | None = None):
+    def __init__(self, m: int, capacity: int, exclusion_radius: int | None = None,
+                 hot_candidates: int | None = None):
         m = int(m)
         capacity = int(capacity)
+        hot = capacity if hot_candidates is None else int(hot_candidates)
+        if hot < 1:
+            raise ValueError(f"hot_candidates must be >= 1, got {hot}")
         if m < 2:
             raise ValueError(f"window size must be >= 2, got {m}")
         if capacity < 2 * m:
@@ -83,6 +108,7 @@ class StreamingProfile:
         self.m = m
         self.capacity = capacity
         self.exclusion_radius = r
+        self.hot_candidates = hot
 
         size = 2 * capacity
         self._buf = np.empty(size)
@@ -98,6 +124,13 @@ class StreamingProfile:
         self._s1 = 0.0           # running sum over the newest m samples
         self._c1 = 0.0           # its Kahan compensation
         self._equal_run = 0      # trailing run of bitwise-identical samples
+        self._hot = False        # hot mode: covariances past the hot lags are stale
+        self._held = 0           # full-mode steps in a row whose hot best settled
+        self.hot_steps = 0
+        self.full_steps = 0
+        self.full_entries = 0
+        self.resyncs = 0
+        self.compactions = 0
 
     @property
     def count(self) -> int:
@@ -119,8 +152,16 @@ class StreamingProfile:
         self._offset += s
         self._start = 0
         self._end = keep
+        self.compactions += 1
 
-    def append(self, sample: float):
+    def _correlate(self, lo: int, hi: int):
+        """Covariances of the newest subsequence with candidates ``[lo, hi)``
+        straight from the samples, given the running sum of its window."""
+        buf, m, end = self._buf, self.m, self._end
+        self._cov[lo:hi] = np.correlate(buf[lo:hi + m - 1],
+                                        buf[end - m:end] - self._s1 / m, mode="valid")
+
+    def append(self, sample: float, settles=None):
         """Ingest one sample.
 
         Updates the running sum and the covariances, caches the newest
@@ -129,6 +170,11 @@ class StreamingProfile:
         neighbor.  Returns ``(profile_value, neighbor_position)`` —
         positions are absolute stream indices — or ``None`` while warming
         up (fewer than ``m + exclusion_radius + 1`` samples).
+
+        ``settles(position, bound)``, if given, says whether an upper bound
+        on the profile value of the subsequence at ``position`` is all the
+        caller needs.  A hot-mode step whose bound it accepts returns
+        ``(bound, None)``; every other step returns the exact value.
         """
         x = float(sample)
         if not math.isfinite(x):
@@ -156,6 +202,9 @@ class StreamingProfile:
 
         start, end = self._start, self._end
         l = end - m  # buffer index of the newest subsequence
+        hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
+        hot_lo = hi - self.hot_candidates  # hot candidates are [hot_lo, hi)
+        lo = max(start, hot_lo) if self._hot else start  # current: [lo, l + 1)
         cov = self._cov
         if count == m:
             df_l = dg_l = 0.0
@@ -176,36 +225,54 @@ class StreamingProfile:
         # never fills): short-lag covariances never leave the window, so
         # their recurrence rounding would otherwise persist.
         if count == m or count % min(cap, 8192) == 0:
-            w = buf[l:end]
-            self._s1 = float(np.sum(w))
+            self._s1 = float(np.sum(buf[l:end]))
             self._c1 = 0.0
-            cov[start:l + 1] = np.correlate(buf[start:end], w - self._s1 / m,
-                                            mode="valid")
+            self._correlate(lo, l + 1)
+            self.resyncs += 1
         else:
             # Once the window has slid, the oldest candidate's predecessor
             # is still at buffer index start - 1 (_compact keeps it), so the
             # recurrence covers it too; before that it is computed directly.
-            lo = start or 1
-            k = l + 1 - lo
-            covariance_step(cov[lo - 1:l], self._df[lo:l + 1], self._dg[lo:l + 1],
-                            df_l, dg_l, cov[lo:l + 1], self._t1[:k])
-            if not start:
+            a = lo or 1
+            covariance_step(cov[a - 1:l], self._df[a:l + 1], self._dg[a:l + 1],
+                            df_l, dg_l, cov[a:l + 1], self._t1[:l + 1 - a])
+            if not lo:
                 cov[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
         # The variance is the recurrence's own diagonal.
         var = float(cov[l]) / m
         isig = 0.0 if var <= 0.0 or self._equal_run >= m else 1.0 / math.sqrt(var)
         self._isig[l] = isig
 
-        hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
         if hi <= start:
             return None
+        position = self._offset + l
+        if lo > start:
+            score = correlation_scores(cov[lo:hi], isig, self._isig[lo:hi],
+                                       self._t1[:hi - lo])
+            i = int(score.argmax())
+            bound = match_distance(buf, m, l, lo + i, score[i], isig)
+            if settles is not None and settles(position, bound):
+                self.hot_steps += 1
+                return bound, None
+            self._correlate(start, lo)
+            self._hot = False
+            self.full_entries += 1
         # The identity steers the search; near-duplicate matches get their
         # value re-evaluated directly so every reported distance reproduces
         # from its neighbor to 1e-9 even on exactly repeating inputs.
         score = correlation_scores(cov[start:hi], isig, self._isig[start:hi],
                                    self._t1[:hi - start])
         i = int(score.argmax())
-        return match_distance(buf, m, l, start + i, score[i], isig), self._offset + start + i
+        value = match_distance(buf, m, l, start + i, score[i], isig)
+        self.full_steps += 1
+        if settles is not None and lo == start < hot_lo:  # not the entry step
+            k = hot_lo - start + int(score[hot_lo - start:].argmax())
+            bound = value if k == i else match_distance(buf, m, l, start + k,
+                                                        score[k], isig)
+            self._held = self._held + 1 if settles(position, bound) else 0
+            if self._held == FULL_HOLD:
+                self._hot, self._held = True, 0
+        return value, self._offset + start + i
 
     def _sweep(self, x: np.ndarray) -> MatrixProfile:
         """Full profile of ``x``, appended to this fresh stream, which must

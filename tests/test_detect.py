@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from mpstream.detect import (
     calibrate_threshold,
     events_to_segments,
 )
+from mpstream.generate import (FaultKind, FaultSpec, GeneratorConfig,
+                               four_fault_dataset, generate_base, inject_fault)
+from mpstream.io import write_events
 
 from oracles import naive_left_profile
 
@@ -378,3 +383,136 @@ class TestTaxonomyIntegration:
             report = segment_score(pred, ds.truth)
             assert report.detected == 1, seed
             assert report.false_segments == 0, seed
+
+
+def random_chain(r_):
+    """A FilterChain at a random threshold, configuration and state."""
+    cfg = DetectorConfig(enter_ratio=float(r_.uniform(1.0, 1.5)),
+                         exit_ratio=float(r_.uniform(0.5, 1.0)),
+                         min_event_len=int(r_.integers(1, 5)),
+                         cooldown=int(r_.integers(0, 50)))
+    chain = FilterChain(float(r_.uniform(0.5, 5.0)), cfg)
+    chain.in_anomaly = bool(r_.integers(2))
+    chain._run = int(r_.integers(0, cfg.min_event_len))
+    chain._run_start = int(r_.integers(0, 100))
+    chain._cooldown_until = int(r_.integers(-1, 200))
+    return chain
+
+
+def chain_state(chain):
+    return (chain.in_anomaly, chain._run, chain._run_start, chain._cooldown_until)
+
+
+class TestSettles:
+    def test_a_settled_bound_pushes_like_any_value_below_it(self):
+        r_ = rng(21)
+        settled = 0
+        for _ in range(3000):
+            chain = random_chain(r_)
+            position = int(r_.integers(100, 200))
+            bound = float(r_.uniform(0.0, 8.0))
+            if not chain.settles(position, bound):
+                continue
+            settled += 1
+            via_bound = copy.deepcopy(chain)
+            assert via_bound.push(position, bound) == []
+            for value in (bound, 0.0, bound * float(r_.uniform()), math.nextafter(bound, 0)):
+                other = copy.deepcopy(chain)
+                assert other.push(position, value) == [], (chain_state(chain), value)
+                assert chain_state(other) == chain_state(via_bound)
+        assert 500 < settled < 2500
+
+    def test_unsettled_cases(self):
+        chain = FilterChain(2.0, DetectorConfig(min_event_len=2, cooldown=10))
+        assert not chain.settles(0, 2.5)  # may start a run
+        chain.push(0, 3.0)
+        chain.push(1, 3.0)  # start fires
+        assert chain.in_anomaly
+        assert not chain.settles(2, 1.9)   # may not qualify to end
+        assert chain.settles(2, 1.7)       # qualifies, run stays short
+        chain.push(2, 1.0)
+        assert not chain.settles(3, 1.7)   # would fire the end
+        chain.push(3, 1.0)
+        assert chain.settles(12, 100.0)    # cooldown until 3 + 10
+        assert not chain.settles(13, 2.5)
+
+
+class TestHotModeDecisions:
+    @staticmethod
+    def run_pair(x, m, capacity, r, cfg, hot_candidates):
+        """Events and traces of the exact detector and the hot-mode one."""
+        runs = []
+        for c in (capacity, hot_candidates):
+            det = AnomalyDetector(m, replace(cfg, hot_candidates=c),
+                                  capacity=capacity, exclusion_radius=r)
+            events, trace, entry_steps = [], [], []
+            for k, v in enumerate(x.tolist()):
+                entries = det.stream.full_entries
+                events += det.step(v)
+                trace.append(np.nan if det.last_profile is None else det.last_profile)
+                if det.stream.full_entries > entries:
+                    entry_steps.append(k)
+            runs.append((det, events, np.array(trace), entry_steps))
+        return runs
+
+    def check_pair(self, x, m, capacity, r, cfg, hot_candidates, oracle_steps):
+        from oracles import windowed_left_profile
+
+        (exact, want, exact_trace, _), (det, got, trace, entry_steps) = \
+            self.run_pair(x, m, capacity, r, cfg, hot_candidates)
+        assert exact.stream.hot_steps == 0
+        assert det.stream.hot_steps > 0 and det.stream.full_entries > 0
+        assert len(entry_steps) == det.stream.full_entries
+        assert det.threshold == exact.threshold
+        assert [(e.kind, e.position) for e in got] == [(e.kind, e.position) for e in want]
+        for a, b in zip(got, want):
+            assert a.profile_value == pytest.approx(b.profile_value, abs=1e-9)
+        shown = ~np.isnan(trace)
+        assert np.isnan(exact_trace[~shown]).sum() == m + r  # the stream's warm-up
+        assert np.abs(trace[shown] - exact_trace[shown]).max() <= 1e-9
+        # The oracle at the first step of each full-mode entry, right after
+        # its rebuild, and at the exact steps among oracle_steps.
+        steps = entry_steps[:oracle_steps] + [
+            int(k) for k in rng(7).choice(np.flatnonzero(shown), oracle_steps)]
+        for k in steps:
+            assert shown[k]
+            oracle = windowed_left_profile(x[max(0, k + 1 - capacity):k + 1], m, r,
+                                           capacity, [min(k, capacity - 1) - m + 1])
+            assert trace[k] == pytest.approx(oracle[0], abs=1e-9), k
+        return got, want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_small_streams(self, seed):
+        from test_stream import shifted_signal
+
+        r_ = rng(300 + seed)
+        cfg = DetectorConfig(quantile_q=float(r_.uniform(0.9, 0.995)),
+                             calibration_len=int(r_.integers(100, 400)),
+                             enter_ratio=float(r_.uniform(1.0, 1.5)),
+                             exit_ratio=float(r_.uniform(0.5, 1.0)),
+                             min_event_len=int(r_.integers(1, 5)),
+                             cooldown=int(r_.integers(0, 100)),
+                             warmup=int(r_.integers(0, 300)))
+        x = shifted_signal(4000, seed)
+        got, _ = self.check_pair(x, 16, 256, 4, cfg, 32, oracle_steps=20)
+        assert got  # the spikes and the level shift give events
+
+    @pytest.mark.parametrize("dataset", [
+        *(("four_fault", seed) for seed in (1, 2, 3, 4, 42, 4242)),
+        *(("taxonomy", kind.value) for kind in FaultKind)],
+        ids=lambda d: f"{d[0]}-{d[1]}")
+    def test_default_detector_events_byte_identical(self, tmp_path, dataset):
+        # The default chain with its 1024 hot candidates writes the exact
+        # search's events.csv byte for byte.
+        name, key = dataset
+        if name == "four_fault":
+            x = four_fault_dataset(GeneratorConfig(seed=key)).channel.samples
+        else:
+            gen = GeneratorConfig(duration_s=4.0, seed=1)
+            x = inject_fault(generate_base(gen), FaultSpec(FaultKind(key), 2.0, 0.05),
+                             gen, seed=1).channel.samples
+        got, want = self.check_pair(x, 64, 8192, 16, DetectorConfig(), 1024,
+                                    oracle_steps=3)
+        write_events(tmp_path / "hot.csv", got)
+        write_events(tmp_path / "exact.csv", want)
+        assert (tmp_path / "hot.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()

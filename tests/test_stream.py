@@ -299,3 +299,78 @@ class TestLongRunStress:
             assert nn == lo + ni[-1], k
             checked += 1
         assert checked == len(x) - m - r
+
+
+def shifted_signal(n, seed):
+    """Noisy sine with spikes, a flat plateau and a level shift."""
+    r_ = rng(seed)
+    x = np.sin(2 * np.pi * np.arange(n) / 20) + r_.normal(0, 0.05, n)
+    for at in r_.integers(300, n - 50, 4):
+        x[at] += r_.choice([-4.0, 4.0])
+    p = int(r_.integers(300, n - 100))
+    x[p:p + 40] = x[p]
+    x[int(r_.integers(300, n)):] += 25.0
+    return x
+
+
+class TestHotMode:
+    def test_counters_without_settles(self):
+        m, r, cap, n = 8, 2, 64, 300
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r, hot_candidates=4)
+        out = feed(sp, rng(5).normal(size=n))
+        assert sp.hot_steps == sp.full_entries == 0
+        assert sp.full_steps == sum(o is not None for o in out) == n - m - r
+        assert sp.compactions == 3  # at samples 128, 192 and 256
+        assert sp.resyncs == 1 + n // cap
+
+    def test_hot_candidates_must_be_positive(self):
+        with pytest.raises(ValueError, match="hot_candidates must be >= 1"):
+            StreamingProfile(8, capacity=64, hot_candidates=0)
+
+    def test_every_candidate_hot_is_the_exact_path(self):
+        # 64 - 8 - 2 = 54 candidates in a full window: at 54 hot candidates
+        # the hot search is the whole search, bitwise.
+        m, r, cap = 8, 2, 64
+        x = shifted_signal(600, 3)
+        plain = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        hot = StreamingProfile(m, capacity=cap, exclusion_radius=r, hot_candidates=54)
+        for v in x:
+            assert hot.append(v, lambda pos, bound: True) == plain.append(v)
+        assert hot.hot_steps == 0 and hot.full_steps == plain.full_steps
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bound_above_exact_and_full_steps_exact(self, seed):
+        # A settles that accepts bounds up to the 99th percentile of the
+        # exact values puts the stream in both modes; every 499th append
+        # passes no settles, which takes a hot-mode stream back to the
+        # exact search.
+        from oracles import windowed_left_profile
+
+        m, r, cap, n = 16, 4, 256, 3000
+        x = shifted_signal(n, seed)
+        plain = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        exact = feed(plain, x)
+        level = float(np.quantile([res[0] for res in exact if res is not None], 0.99))
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r, hot_candidates=32)
+        want = windowed_left_profile(x, m, r, cap, range(n - m + 1))
+        hot = full = after_entry = 0
+        for k, v in enumerate(x):
+            entries = sp.full_entries
+            res = sp.append(v, None if k % 499 == 0 else lambda pos, b: b <= level)
+            if res is None:
+                assert exact[k] is None
+                continue
+            value, neighbor = res
+            if neighbor is None:
+                hot += 1
+                assert exact[k][0] - 1e-9 <= value <= level
+                continue
+            full += 1
+            after_entry += sp.full_entries > entries
+            assert value == pytest.approx(exact[k][0], abs=1e-9), k
+            assert value == pytest.approx(want[k - m + 1], abs=1e-9), k
+            assert znorm_distance(x[k - m + 1:k + 1], x[neighbor:neighbor + m]) == \
+                pytest.approx(value, abs=1e-9), k
+        assert (sp.hot_steps, sp.full_steps) == (hot, full)
+        assert hot + full == plain.full_steps and plain.hot_steps == 0
+        assert hot > n // 2 and after_entry == sp.full_entries > 5
