@@ -470,8 +470,8 @@ class TestHotModeDecisions:
         shown = ~np.isnan(trace)
         assert np.isnan(exact_trace[~shown]).sum() == m + r  # the stream's warm-up
         assert np.abs(trace[shown] - exact_trace[shown]).max() <= 1e-9
-        # The oracle at the first step of each full-mode entry, right after
-        # its rebuild, and at the exact steps among oracle_steps.
+        # The oracle at the first step after each of the first oracle_steps
+        # rebuilds, and at oracle_steps randomly drawn exact steps.
         steps = entry_steps[:oracle_steps] + [
             int(k) for k in rng(7).choice(np.flatnonzero(shown), oracle_steps)]
         for k in steps:
