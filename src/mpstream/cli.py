@@ -180,10 +180,10 @@ def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
              len(events), len(values),
              "n/a" if detector.threshold is None else f"{detector.threshold:.6g}")
     s = detector.stream
-    searched = s.hot_steps + s.full_steps
-    log.info("settled %d of %d searched steps (%.1f%%) from the %d most recent "
-             "candidates; %d full-mode entries", s.hot_steps, searched,
-             100.0 * s.hot_steps / max(searched, 1), s.hot_candidates, s.full_entries)
+    armed = s.hot_steps + s.full_steps
+    log.info("settled %d of %d armed steps (%.1f%%) from the %d most recent "
+             "candidates; %d full-mode entries", s.hot_steps, armed,
+             100.0 * s.hot_steps / max(armed, 1), s.hot_candidates, s.full_entries)
     return 0
 
 

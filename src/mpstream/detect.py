@@ -78,9 +78,10 @@ class DetectorConfig:
     > 0 (a flat calibration stretch) is a ValueError from
     :meth:`AnomalyDetector.step`.
 
-    Once detection begins, a step searches the ``hot_candidates`` most
-    recent candidates only, while that settles the chain (see
-    :meth:`FilterChain.settles`); events and thresholds stay exact.
+    Once detection begins, a step searches the stream's most recent
+    candidates only (:data:`mpstream.stream.HOT_CANDIDATES`) while that
+    settles the chain (see :meth:`FilterChain.settles`); events and
+    thresholds stay exact.
     """
 
     threshold_value: float | None = None
@@ -91,7 +92,6 @@ class DetectorConfig:
     min_event_len: int = 3
     cooldown: int = 64
     warmup: int = 2000
-    hot_candidates: int = 1024
 
     def __post_init__(self):
         t = self.threshold_value
@@ -109,8 +109,6 @@ class DetectorConfig:
             raise ValueError("cooldown must be >= 0")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        if self.hot_candidates < 1:
-            raise ValueError("hot_candidates must be >= 1")
 
 
 def calibrate_threshold(values, q: float) -> float:
@@ -189,7 +187,7 @@ class AnomalyDetector:
     the profile value produced by the most recent step and
     ``last_neighbor`` the absolute position of the subsequence it is the
     distance to.  Both are None while the underlying stream is warming up
-    and on steps it settled from its hot candidates alone (see
+    and on steps it settled from its most recent candidates alone (see
     :class:`DetectorConfig`), so every value reported is exact.
 
     Single-writer like the stream it wraps; independent detectors on
@@ -201,8 +199,7 @@ class AnomalyDetector:
         self.m = int(m)
         self.config = config if config is not None else DetectorConfig()
         self.stream = StreamingProfile(self.m, capacity=capacity,
-                                       exclusion_radius=exclusion_radius,
-                                       hot_candidates=self.config.hot_candidates)
+                                       exclusion_radius=exclusion_radius)
         self.threshold: float | None = self.config.threshold_value
         self.last_profile: float | None = None
         self.last_neighbor: int | None = None

@@ -38,6 +38,9 @@ from mpstream.core import (
 
 __all__ = ["StreamingProfile"]
 
+# Candidates a hot-mode step searches, the most recent ones: a step then
+# costs about what a stream of capacity HOT_CANDIDATES + m + r costs.
+HOT_CANDIDATES = 1024
 # Full-mode steps in a row whose hot best settles before hot mode resumes:
 # each entry into full mode costs a correlate over the older candidates.
 FULL_HOLD = 64
@@ -56,7 +59,7 @@ class StreamingProfile:
         Trivial-match half-width, default ``ceil(m/4)``.
     hot_candidates : int, optional
         Candidates searched in hot mode (see below), the most recent ones;
-        default all of them, which makes every step exact.
+        default :data:`HOT_CANDIDATES`.
 
     :meth:`append` is the whole per-sample path.  It advances the centred
     covariances of the newest subsequence with every retained one by
@@ -79,9 +82,10 @@ class StreamingProfile:
     go stale) and stops there if ``settles`` accepts their best distance.
     Otherwise it rebuilds the stale ones from the samples and switches to
     full mode, the exact step, until :data:`FULL_HOLD` steps in a row find
-    their hot best settled.  Counters: ``hot_steps`` and ``full_steps``
-    (their sum is the appends that returned a value), ``full_entries``,
-    ``resyncs`` (the first window's included) and ``compactions``.
+    their hot best settled.  Without ``settles`` every step is exact.
+    Counters: ``hot_steps`` and ``full_steps``, the appends given a
+    ``settles`` that returned a value in hot and in full mode, and
+    ``full_entries``.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
@@ -92,7 +96,7 @@ class StreamingProfile:
                  hot_candidates: int | None = None):
         m = int(m)
         capacity = int(capacity)
-        hot = capacity if hot_candidates is None else int(hot_candidates)
+        hot = HOT_CANDIDATES if hot_candidates is None else int(hot_candidates)
         if hot < 1:
             raise ValueError(f"hot_candidates must be >= 1, got {hot}")
         if m < 2:
@@ -129,8 +133,6 @@ class StreamingProfile:
         self.hot_steps = 0
         self.full_steps = 0
         self.full_entries = 0
-        self.resyncs = 0
-        self.compactions = 0
 
     @property
     def count(self) -> int:
@@ -152,7 +154,6 @@ class StreamingProfile:
         self._offset += s
         self._start = 0
         self._end = keep
-        self.compactions += 1
 
     def _correlate(self, lo: int, hi: int):
         """Covariances of the newest subsequence with candidates ``[lo, hi)``
@@ -228,7 +229,6 @@ class StreamingProfile:
             self._s1 = float(np.sum(buf[l:end]))
             self._c1 = 0.0
             self._correlate(lo, l + 1)
-            self.resyncs += 1
         else:
             # Once the window has slid, the oldest candidate's predecessor
             # is still at buffer index start - 1 (_compact keeps it), so the
@@ -264,14 +264,15 @@ class StreamingProfile:
                                    self._t1[:hi - start])
         i = int(score.argmax())
         value = match_distance(buf, m, l, start + i, score[i], isig)
-        self.full_steps += 1
-        if settles is not None and lo == start < hot_lo:  # not the entry step
-            k = hot_lo - start + int(score[hot_lo - start:].argmax())
-            bound = value if k == i else match_distance(buf, m, l, start + k,
-                                                        score[k], isig)
-            self._held = self._held + 1 if settles(position, bound) else 0
-            if self._held == FULL_HOLD:
-                self._hot, self._held = True, 0
+        if settles is not None:
+            self.full_steps += 1
+            if lo == start < hot_lo:  # not the entry step
+                k = hot_lo - start + int(score[hot_lo - start:].argmax())
+                bound = value if k == i else match_distance(buf, m, l, start + k,
+                                                            score[k], isig)
+                self._held = self._held + 1 if settles(position, bound) else 0
+                if self._held == FULL_HOLD:
+                    self._hot, self._held = True, 0
         return value, self._offset + start + i
 
     def _sweep(self, x: np.ndarray) -> MatrixProfile:

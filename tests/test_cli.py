@@ -228,36 +228,24 @@ class TestDetect:
         assert err.startswith("mpstream: error: ") and "exclusion_radius" in err
         assert not (tmp_path / "e.csv").exists()
 
-    def test_hot_candidates_below_one_is_config_error(self, tmp_path, capsys):
-        data = tmp_path / "data.csv"
-        assert main(["generate", "--config", write_config(tmp_path, **{
-            **SMALL, "duration_s": 0.2, "fault_start_s": 0.1,
-            "fault_duration_s": 0.01}), "--out", str(data)]) == 0
-        capsys.readouterr()
-        cfg = write_config(tmp_path, hot_candidates=0)
-        assert main(["detect", "--config", cfg, "--out", str(tmp_path / "e.csv"),
-                     str(data)]) == 1
-        assert capsys.readouterr().err == \
-            "mpstream: error: hot_candidates must be >= 1\n"
-
     def test_logs_the_share_settled_in_hot_mode(self, tmp_path, caplog):
-        # Every step past the stream's warm-up is searched; the hot-mode
-        # ones are exactly the empty trace fields after it.
+        # Steps are armed after warm-up and calibration; the hot-mode ones
+        # are exactly the empty trace fields after the stream's warm-up.
+        # Capacity 4096 has more candidates than the 1024 hot ones.
+        config = write_config(tmp_path, **{**SMALL, "capacity": 4096})
         data = tmp_path / "data.csv"
-        assert main(["generate", "--config", write_config(tmp_path, **SMALL),
-                     "--out", str(data)]) == 0
-        cfg = write_config(tmp_path, **SMALL, hot_candidates=128)
+        assert main(["generate", "--config", config, "--out", str(data)]) == 0
         with caplog.at_level("INFO", logger="mpstream"):
-            assert main(["detect", "--config", cfg, "--out",
+            assert main(["detect", "--config", config, "--out",
                          str(tmp_path / "e.csv"), str(data)]) == 0
         message = caplog.records[-1].getMessage()
         lines = (tmp_path / "e.profile.csv").read_text().splitlines()[1:]
         warm = SMALL["window"] + 8  # m + exclusion_radius samples
         hot = sum(line.endswith(",") for line in lines[warm:])
-        assert 0 < hot < len(lines) - warm
-        searched = len(lines) - warm
-        assert message.startswith(f"settled {hot} of {searched} searched steps "
-                                  f"({100 * hot / searched:.1f}%) from the 128 "
+        armed = len(lines) - SMALL["warmup"] - SMALL["calibration_len"]
+        assert 0 < hot < armed
+        assert message.startswith(f"settled {hot} of {armed} armed steps "
+                                  f"({100 * hot / armed:.1f}%) from the 1024 "
                                   "most recent candidates; ")
         assert message.endswith(" full-mode entries")
 
@@ -597,8 +585,7 @@ PART_VALUES = dict(
     sensor_duration_s=0.02, sag_start_s=11.0, sag_duration_s=0.03,
     grid_start_s=15.0, grid_duration_s=0.2,
     threshold_value=0.5, quantile_q=0.99, calibration_len=500,
-    enter_ratio=1.5, exit_ratio=0.8, min_event_len=5, cooldown=10, warmup=100,
-    hot_candidates=512)
+    enter_ratio=1.5, exit_ratio=0.8, min_event_len=5, cooldown=10, warmup=100)
 # ... and for every key RunConfig declares itself.
 OWN_VALUES = dict(
     dataset="point_outlier", fault_start_s=1.0, fault_duration_s=0.1,
@@ -621,7 +608,6 @@ MISTYPED = [
     ("detect", "threshold_value", "3", "expected float or null, got string"),
     ("detect", "min_event_len", True, "expected int, got boolean"),
     ("detect", "window", 32.0, "expected int, got number"),
-    ("detect", "hot_candidates", 1.5, "expected int, got number"),
     ("profile", "window", None, "expected int, got null"),
     ("generate", "duration_s", HUGE_INT, "int too large to convert to float"),
     ("detect", "threshold_value", HUGE_INT, "int too large to convert to float"),
@@ -655,7 +641,7 @@ class TestConfigRouting:
             "sag_duration_s", "grid_start_s", "grid_duration_s", "window",
             "exclusion_radius", "capacity", "threshold_value", "quantile_q",
             "calibration_len", "enter_ratio", "exit_ratio", "min_event_len",
-            "cooldown", "warmup", "hot_candidates", "input", "out"}
+            "cooldown", "warmup", "input", "out"}
         cfg = RunConfig.load(write_config(tmp_path, **OWN_VALUES, **PART_VALUES))
         for key, value in OWN_VALUES.items():
             assert getattr(cfg, key) == value

@@ -1,6 +1,5 @@
 import copy
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from mpstream.detect import (
 from mpstream.generate import (FaultKind, FaultSpec, GeneratorConfig,
                                four_fault_dataset, generate_base, inject_fault)
 from mpstream.io import write_events
+from mpstream.stream import StreamingProfile
 
 from oracles import naive_left_profile
 
@@ -443,8 +443,9 @@ class TestHotModeDecisions:
         """Events and traces of the exact detector and the hot-mode one."""
         runs = []
         for c in (capacity, hot_candidates):
-            det = AnomalyDetector(m, replace(cfg, hot_candidates=c),
-                                  capacity=capacity, exclusion_radius=r)
+            det = AnomalyDetector(m, cfg, capacity=capacity, exclusion_radius=r)
+            det.stream = StreamingProfile(m, capacity=capacity, exclusion_radius=r,
+                                          hot_candidates=c)
             events, trace, entry_steps = [], [], []
             for k, v in enumerate(x.tolist()):
                 entries = det.stream.full_entries
@@ -462,6 +463,9 @@ class TestHotModeDecisions:
             self.run_pair(x, m, capacity, r, cfg, hot_candidates)
         assert exact.stream.hot_steps == 0
         assert det.stream.hot_steps > 0 and det.stream.full_entries > 0
+        # Both count the armed steps: those after warm-up and calibration.
+        assert det.stream.hot_steps + det.stream.full_steps == \
+            exact.stream.full_steps == len(x) - max(cfg.warmup, m + r) - cfg.calibration_len
         assert len(entry_steps) == det.stream.full_entries
         assert det.threshold == exact.threshold
         assert [(e.kind, e.position) for e in got] == [(e.kind, e.position) for e in want]

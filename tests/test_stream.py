@@ -318,10 +318,8 @@ class TestHotMode:
         m, r, cap, n = 8, 2, 64, 300
         sp = StreamingProfile(m, capacity=cap, exclusion_radius=r, hot_candidates=4)
         out = feed(sp, rng(5).normal(size=n))
-        assert sp.hot_steps == sp.full_entries == 0
-        assert sp.full_steps == sum(o is not None for o in out) == n - m - r
-        assert sp.compactions == 3  # at samples 128, 192 and 256
-        assert sp.resyncs == 1 + n // cap
+        assert sum(o is not None for o in out) == n - m - r
+        assert sp.hot_steps == sp.full_steps == sp.full_entries == 0
 
     def test_hot_candidates_must_be_positive(self):
         with pytest.raises(ValueError, match="hot_candidates must be >= 1"):
@@ -336,7 +334,7 @@ class TestHotMode:
         hot = StreamingProfile(m, capacity=cap, exclusion_radius=r, hot_candidates=54)
         for v in x:
             assert hot.append(v, lambda pos, bound: True) == plain.append(v)
-        assert hot.hot_steps == 0 and hot.full_steps == plain.full_steps
+        assert hot.hot_steps == 0 and hot.full_steps == len(x) - m - r
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bound_above_exact_and_full_steps_exact(self, seed):
@@ -356,7 +354,8 @@ class TestHotMode:
         hot = full = after_entry = 0
         for k, v in enumerate(x):
             entries = sp.full_entries
-            res = sp.append(v, None if k % 499 == 0 else lambda pos, b: b <= level)
+            given = k % 499 != 0
+            res = sp.append(v, (lambda pos, b: b <= level) if given else None)
             if res is None:
                 assert exact[k] is None
                 continue
@@ -365,12 +364,14 @@ class TestHotMode:
                 hot += 1
                 assert exact[k][0] - 1e-9 <= value <= level
                 continue
-            full += 1
+            full += given
             after_entry += sp.full_entries > entries
             assert value == pytest.approx(exact[k][0], abs=1e-9), k
             assert value == pytest.approx(want[k - m + 1], abs=1e-9), k
             assert znorm_distance(x[k - m + 1:k + 1], x[neighbor:neighbor + m]) == \
                 pytest.approx(value, abs=1e-9), k
         assert (sp.hot_steps, sp.full_steps) == (hot, full)
-        assert hot + full == plain.full_steps and plain.hot_steps == 0
+        assert hot + full == sum(res is not None and k % 499 != 0
+                                 for k, res in enumerate(exact))
+        assert plain.hot_steps == plain.full_steps == 0
         assert hot > n // 2 and after_entry == sp.full_entries > 5
