@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 
+from mpstream import stream
 from mpstream.core import matrix_profile
 from mpstream.detect import AnomalyDetector, DetectorConfig, events_to_segments
 from mpstream.evaluate import (classification_metrics, metrics_table,
@@ -183,7 +184,7 @@ def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
     armed = s.hot_steps + s.full_steps
     log.info("settled %d of %d armed steps (%.1f%%) from the %d most recent "
              "candidates; %d full-mode entries", s.hot_steps, armed,
-             100.0 * s.hot_steps / max(armed, 1), s.hot_candidates, s.full_entries)
+             100.0 * s.hot_steps / max(armed, 1), stream.HOT_CANDIDATES, s.full_entries)
     return 0
 
 

@@ -67,21 +67,23 @@ class DetectorConfig:
     """Tunables of the detection filter chain.
 
     A finite, positive ``threshold_value`` is used as the threshold
-    directly (profile values are >= 0, so a threshold <= 0 could start an
-    event but never end one); None (the default) calibrates it as the
-    ``quantile_q`` quantile of profile values.  The first ``warmup``
-    samples are ignored outright; this hides the stream's own warm-up
-    transient, where the window holds few candidate subsequences and even
-    normal profile values run high.  When calibrating, the next
-    ``calibration_len`` profile values are then collected, and detection
-    begins once calibration completes.  A calibrated quantile that is not
-    > 0 (a flat calibration stretch) is a ValueError from
-    :meth:`AnomalyDetector.step`.
+    directly; None (the default) calibrates it as the ``quantile_q``
+    quantile of profile values.  Events start above ``threshold *
+    enter_ratio`` and end below ``threshold * exit_ratio``.  Profile values
+    are >= 0, so a level <= 0 could start an event but never end one, and
+    an infinite one starts none: ``0 < exit_ratio <= 1 <= enter_ratio``,
+    both finite.  The first ``warmup`` samples are ignored outright; this
+    hides the stream's own warm-up transient, where the window holds few
+    candidate subsequences and even normal profile values run high.  When
+    calibrating, the next ``calibration_len`` profile values are then
+    collected, and detection begins once calibration completes.  A
+    calibrated quantile that is not > 0 (a flat calibration stretch) is a
+    ValueError from :meth:`AnomalyDetector.step`.
 
-    Once detection begins, a step searches the stream's most recent
-    candidates only (:data:`mpstream.stream.HOT_CANDIDATES`) while that
-    settles the chain (see :meth:`FilterChain.settles`); events and
-    thresholds stay exact.
+    Every step searches the stream's most recent candidates
+    (:data:`mpstream.stream.HOT_CANDIDATES`) first; once detection begins,
+    a hot-mode step ends there when that settles the chain (see
+    :meth:`FilterChain.settles`).  Events and thresholds stay exact.
     """
 
     threshold_value: float | None = None
@@ -101,8 +103,8 @@ class DetectorConfig:
             raise ValueError("quantile_q must lie in (0, 1)")
         if self.calibration_len < 1:
             raise ValueError("calibration_len must be >= 1")
-        if not (self.exit_ratio <= 1.0 <= self.enter_ratio):
-            raise ValueError("need exit_ratio <= 1 <= enter_ratio")
+        if not 0.0 < self.exit_ratio <= 1.0 <= self.enter_ratio < math.inf:
+            raise ValueError("need 0 < exit_ratio <= 1 <= enter_ratio, both finite")
         if self.min_event_len < 1:
             raise ValueError("min_event_len must be >= 1")
         if self.cooldown < 0:

@@ -16,9 +16,9 @@ so it is the left profile of that window by construction and never reports
 a distance to a subsequence that is gone; it costs about as much as
 appending the window again.
 
-Given a ``settles`` predicate, an append searches the most recent
-candidates first and the whole window only when their best distance does
-not settle it, after DAMP (Lu et al., "Matrix Profile XXIV", KDD 2022).
+Every append searches the most recent candidates first; given a
+``settles`` predicate, it stops there when their best distance settles it,
+after DAMP (Lu et al., "Matrix Profile XXIV", KDD 2022).
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ class StreamingProfile:
         Maximum retained samples; must be at least ``2 * m``.
     exclusion_radius : int, optional
         Trivial-match half-width, default ``ceil(m/4)``.
-    hot_candidates : int, optional
-        Candidates searched in hot mode (see below), the most recent ones;
-        default :data:`HOT_CANDIDATES`.
 
     :meth:`append` is the whole per-sample path.  It advances the centred
     covariances of the newest subsequence with every retained one by
@@ -76,29 +73,28 @@ class StreamingProfile:
     unchanged but keeps a large common offset (a 50 Hz level) out of the
     running sum.
 
-    Given a ``settles`` predicate, a hot-mode :meth:`append` advances and
-    scores only the covariances of the ``hot_candidates`` most recent
-    candidates (lags up to ``exclusion_radius + hot_candidates``; older ones
-    go stale) and stops there if ``settles`` accepts their best distance.
-    Otherwise it rebuilds the stale ones from the samples and switches to
-    full mode, the exact step, until :data:`FULL_HOLD` steps in a row find
-    their hot best settled.  Without ``settles`` every step is exact.
-    Counters: ``hot_steps`` and ``full_steps``, the appends given a
-    ``settles`` that returned a value in hot and in full mode, and
-    ``full_entries``.
+    Every :meth:`append` searches in one order.  It searches the
+    :data:`HOT_CANDIDATES` most recent candidates first (lags up to
+    ``exclusion_radius + HOT_CANDIDATES``) and evaluates their best
+    distance; then it searches the older candidates, and the older winner
+    wins a tie, so the result is that of one search over the whole window.
+    Given a ``settles`` predicate, that hot best alone decides the mode.  A
+    hot-mode append advances only the hot covariances (the older ones go
+    stale) and returns the hot best if ``settles`` accepts it; otherwise it
+    rebuilds the stale ones from the samples and switches to full mode, the
+    exact step, until :data:`FULL_HOLD` steps in a row find their hot best
+    settled.  Without ``settles`` every step is exact.  Counters:
+    ``hot_steps`` and ``full_steps``, the appends given a ``settles`` that
+    returned a value in hot and in full mode, and ``full_entries``.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
     copies.
     """
 
-    def __init__(self, m: int, capacity: int, exclusion_radius: int | None = None,
-                 hot_candidates: int | None = None):
+    def __init__(self, m: int, capacity: int, exclusion_radius: int | None = None):
         m = int(m)
         capacity = int(capacity)
-        hot = HOT_CANDIDATES if hot_candidates is None else int(hot_candidates)
-        if hot < 1:
-            raise ValueError(f"hot_candidates must be >= 1, got {hot}")
         if m < 2:
             raise ValueError(f"window size must be >= 2, got {m}")
         if capacity < 2 * m:
@@ -112,7 +108,6 @@ class StreamingProfile:
         self.m = m
         self.capacity = capacity
         self.exclusion_radius = r
-        self.hot_candidates = hot
 
         size = 2 * capacity
         self._buf = np.empty(size)
@@ -204,8 +199,8 @@ class StreamingProfile:
         start, end = self._start, self._end
         l = end - m  # buffer index of the newest subsequence
         hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
-        hot_lo = hi - self.hot_candidates  # hot candidates are [hot_lo, hi)
-        lo = max(start, hot_lo) if self._hot else start  # current: [lo, l + 1)
+        h = max(start, hi - HOT_CANDIDATES)  # the hot ones are [h, hi)
+        lo = h if self._hot else start  # covariances kept current: [lo, l + 1)
         cov = self._cov
         if count == m:
             df_l = dg_l = 0.0
@@ -245,35 +240,36 @@ class StreamingProfile:
 
         if hi <= start:
             return None
-        position = self._offset + l
-        if lo > start:
-            score = correlation_scores(cov[lo:hi], isig, self._isig[lo:hi],
-                                       self._t1[:hi - lo])
-            i = int(score.argmax())
-            bound = match_distance(buf, m, l, lo + i, score[i], isig)
-            if settles is not None and settles(position, bound):
+        # Score the current candidates [lo, hi); search the hot ones first.
+        score = correlation_scores(cov[lo:hi], isig, self._isig[lo:hi], self._t1[:hi - lo])
+        hot = score[h - lo:] if h > lo else score  # hot mode: lo == h
+        i = h + int(hot.argmax())
+        best, value = hot[i - h], None  # value: candidate i's distance, once known
+        if settles is not None and h > start:
+            value = match_distance(buf, m, l, i, best, isig)
+            settled = settles(self._offset + l, value)
+            if settled and lo > start:
                 self.hot_steps += 1
-                return bound, None
+                return value, None
+            self._held = self._held + 1 if settled else 0  # hot mode holds 0
+            if self._held == FULL_HOLD:
+                self._hot, self._held = True, 0
+        if lo > start:  # unsettled in hot mode: rebuild the stale covariances
             self._correlate(start, lo)
             self._hot = False
             self.full_entries += 1
-        # The identity steers the search; near-duplicate matches get their
-        # value re-evaluated directly so every reported distance reproduces
-        # from its neighbor to 1e-9 even on exactly repeating inputs.
-        score = correlation_scores(cov[start:hi], isig, self._isig[start:hi],
-                                   self._t1[:hi - start])
-        i = int(score.argmax())
-        value = match_distance(buf, m, l, start + i, score[i], isig)
+            score = correlation_scores(cov[start:lo], isig, self._isig[start:lo],
+                                       self._t1[:lo - start])
+        if h > start:  # the older candidates, which win ties as in one argmax
+            j = int(score[:h - start].argmax())
+            if score[j] >= best:
+                i, best, value = start + j, score[j], None
+        # match_distance re-evaluates near duplicates: values reproduce to 1e-9.
+        if value is None:
+            value = match_distance(buf, m, l, i, best, isig)
         if settles is not None:
             self.full_steps += 1
-            if lo == start < hot_lo:  # not the entry step
-                k = hot_lo - start + int(score[hot_lo - start:].argmax())
-                bound = value if k == i else match_distance(buf, m, l, start + k,
-                                                            score[k], isig)
-                self._held = self._held + 1 if settles(position, bound) else 0
-                if self._held == FULL_HOLD:
-                    self._hot, self._held = True, 0
-        return value, self._offset + start + i
+        return value, self._offset + i
 
     def _sweep(self, x: np.ndarray) -> MatrixProfile:
         """Full profile of ``x``, appended to this fresh stream, which must

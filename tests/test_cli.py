@@ -213,6 +213,25 @@ class TestDetect:
                      "--out", str(tmp_path / "e.csv"), str(data)]) == 1
         assert capsys.readouterr().err.startswith("mpstream: error: ")
 
+    @pytest.mark.parametrize("config", ['{"exit_ratio": 0}', '{"enter_ratio": 1e400}'],
+                             ids=["exit-ratio-0", "enter-ratio-inf"])
+    def test_ratio_that_ends_or_starts_no_event_is_config_error(self, tmp_path, capsys,
+                                                                 config):
+        # An exit level of 0 opens an event that never ends; JSON reads
+        # 1e400 as infinity, an enter level that never opens one.
+        data = tmp_path / "data.csv"
+        assert main(["generate", "--config", write_config(tmp_path, **{
+            **SMALL, "duration_s": 0.2, "fault_start_s": 0.1,
+            "fault_duration_s": 0.01}), "--out", str(data)]) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "ratio.json"
+        cfg.write_text(config)
+        assert main(["detect", "--config", str(cfg), "--out", str(tmp_path / "e.csv"),
+                     str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mpstream: error: ") and "exit_ratio" in err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_radius_that_leaves_no_candidate_is_config_error(self, tmp_path, capsys):
         # capacity 8192 - window 64 = 8128: a full window would have no
         # candidate left, so no profile value would ever come.

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import mpstream.stream
 from mpstream.core import znorm_distance
 from mpstream.detect import (
     AnomalyDetector,
@@ -18,7 +19,6 @@ from mpstream.detect import (
 from mpstream.generate import (FaultKind, FaultSpec, GeneratorConfig,
                                four_fault_dataset, generate_base, inject_fault)
 from mpstream.io import write_events
-from mpstream.stream import StreamingProfile
 
 from oracles import naive_left_profile
 
@@ -34,6 +34,17 @@ class TestDetectorConfig:
             DetectorConfig(enter_ratio=0.8)
         with pytest.raises(ValueError):
             DetectorConfig(exit_ratio=1.2)
+        DetectorConfig(enter_ratio=1.0, exit_ratio=1.0)
+        DetectorConfig(exit_ratio=1e-9)
+
+    @pytest.mark.parametrize("kw", [
+        {"exit_ratio": 0.0}, {"exit_ratio": -0.5}, {"exit_ratio": -math.inf},
+        {"exit_ratio": math.nan}, {"enter_ratio": math.inf}, {"enter_ratio": math.nan}])
+    def test_ratios_must_be_finite_and_exit_positive(self, kw):
+        # Profile values are >= 0: an exit level of 0 ends no event, and an
+        # infinite enter level starts none.
+        with pytest.raises(ValueError, match="0 < exit_ratio <= 1 <= enter_ratio"):
+            DetectorConfig(**kw)
 
     def test_quantile_range(self):
         with pytest.raises(ValueError):
@@ -439,13 +450,13 @@ class TestSettles:
 
 class TestHotModeDecisions:
     @staticmethod
-    def run_pair(x, m, capacity, r, cfg, hot_candidates):
-        """Events and traces of the exact detector and the hot-mode one."""
+    def run_pair(monkeypatch, x, m, capacity, r, cfg, hot):
+        """Events and traces of the exact detector, whose stream has every
+        candidate hot, and the hot-mode one."""
         runs = []
-        for c in (capacity, hot_candidates):
+        for c in (capacity, hot):
+            monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", c)
             det = AnomalyDetector(m, cfg, capacity=capacity, exclusion_radius=r)
-            det.stream = StreamingProfile(m, capacity=capacity, exclusion_radius=r,
-                                          hot_candidates=c)
             events, trace, entry_steps = [], [], []
             for k, v in enumerate(x.tolist()):
                 entries = det.stream.full_entries
@@ -456,11 +467,11 @@ class TestHotModeDecisions:
             runs.append((det, events, np.array(trace), entry_steps))
         return runs
 
-    def check_pair(self, x, m, capacity, r, cfg, hot_candidates, oracle_steps):
+    def check_pair(self, monkeypatch, x, m, capacity, r, cfg, hot, oracle_steps):
         from oracles import windowed_left_profile
 
         (exact, want, exact_trace, _), (det, got, trace, entry_steps) = \
-            self.run_pair(x, m, capacity, r, cfg, hot_candidates)
+            self.run_pair(monkeypatch, x, m, capacity, r, cfg, hot)
         assert exact.stream.hot_steps == 0
         assert det.stream.hot_steps > 0 and det.stream.full_entries > 0
         # Both count the armed steps: those after warm-up and calibration.
@@ -486,7 +497,7 @@ class TestHotModeDecisions:
         return got, want
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_small_streams(self, seed):
+    def test_random_small_streams(self, monkeypatch, seed):
         from test_stream import shifted_signal
 
         r_ = rng(300 + seed)
@@ -498,14 +509,14 @@ class TestHotModeDecisions:
                              cooldown=int(r_.integers(0, 100)),
                              warmup=int(r_.integers(0, 300)))
         x = shifted_signal(4000, seed)
-        got, _ = self.check_pair(x, 16, 256, 4, cfg, 32, oracle_steps=20)
+        got, _ = self.check_pair(monkeypatch, x, 16, 256, 4, cfg, 32, oracle_steps=20)
         assert got  # the spikes and the level shift give events
 
     @pytest.mark.parametrize("dataset", [
         *(("four_fault", seed) for seed in (1, 2, 3, 4, 42, 4242)),
         *(("taxonomy", kind.value) for kind in FaultKind)],
         ids=lambda d: f"{d[0]}-{d[1]}")
-    def test_default_detector_events_byte_identical(self, tmp_path, dataset):
+    def test_default_detector_events_byte_identical(self, monkeypatch, tmp_path, dataset):
         # The default chain with its 1024 hot candidates writes the exact
         # search's events.csv byte for byte.
         name, key = dataset
@@ -515,8 +526,8 @@ class TestHotModeDecisions:
             gen = GeneratorConfig(duration_s=4.0, seed=1)
             x = inject_fault(generate_base(gen), FaultSpec(FaultKind(key), 2.0, 0.05),
                              gen, seed=1).channel.samples
-        got, want = self.check_pair(x, 64, 8192, 16, DetectorConfig(), 1024,
-                                    oracle_steps=3)
+        got, want = self.check_pair(monkeypatch, x, 64, 8192, 16, DetectorConfig(),
+                                    1024, oracle_steps=3)
         write_events(tmp_path / "hot.csv", got)
         write_events(tmp_path / "exact.csv", want)
         assert (tmp_path / "hot.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mpstream.stream
 from mpstream.core import SENTINEL_INDEX, znorm_distance
 from mpstream.stream import StreamingProfile
 
@@ -314,30 +315,92 @@ def shifted_signal(n, seed):
 
 
 class TestHotMode:
-    def test_counters_without_settles(self):
+    def test_counters_without_settles(self, monkeypatch):
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 4)
         m, r, cap, n = 8, 2, 64, 300
-        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r, hot_candidates=4)
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         out = feed(sp, rng(5).normal(size=n))
         assert sum(o is not None for o in out) == n - m - r
         assert sp.hot_steps == sp.full_steps == sp.full_entries == 0
 
-    def test_hot_candidates_must_be_positive(self):
-        with pytest.raises(ValueError, match="hot_candidates must be >= 1"):
-            StreamingProfile(8, capacity=64, hot_candidates=0)
-
-    def test_every_candidate_hot_is_the_exact_path(self):
+    def test_every_candidate_hot_is_the_exact_path(self, monkeypatch):
         # 64 - 8 - 2 = 54 candidates in a full window: at 54 hot candidates
         # the hot search is the whole search, bitwise.
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 54)
         m, r, cap = 8, 2, 64
         x = shifted_signal(600, 3)
         plain = StreamingProfile(m, capacity=cap, exclusion_radius=r)
-        hot = StreamingProfile(m, capacity=cap, exclusion_radius=r, hot_candidates=54)
+        hot = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         for v in x:
             assert hot.append(v, lambda pos, bound: True) == plain.append(v)
         assert hot.hot_steps == 0 and hot.full_steps == len(x) - m - r
 
+    def test_full_hold_counts_settled_steps_in_a_row(self, monkeypatch):
+        # Settled full-mode steps in a row take the stream back to hot mode
+        # after FULL_HOLD of them; an unsettled one restarts the count, and
+        # so does the entry into full mode, whether a step's bound did not
+        # settle or the step was given no settles at all.
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 4)
+        monkeypatch.setattr(mpstream.stream, "FULL_HOLD", 3)
+        m, r, cap = 8, 2, 64
+        x = iter(rng(11).normal(size=200).tolist())
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        plain = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        modes = []
+
+        def steps(*answers):
+            """Append one sample per answer, with a settles that gives it (or
+            none for None); returns the mode of each step."""
+            out = []
+            for answer in answers:
+                v = next(x)
+                want = plain.append(v)
+                got = sp.append(v, None if answer is None else lambda pos, bound: answer)
+                if got[1] is None:
+                    assert answer and want[0] <= got[0] + 1e-9
+                    out.append("hot")
+                else:
+                    # Exact, so the stale covariances were rebuilt.
+                    assert got[0] == pytest.approx(want[0], abs=1e-9)
+                    assert got[1] == want[1]
+                    out.append("full")
+            modes.extend(zip(answers, out))
+            return out
+
+        for v in [next(x) for _ in range(cap)]:
+            plain.append(v)
+            sp.append(v)
+        assert steps(True, True, True, True) == ["full"] * 3 + ["hot"]
+        entries = sp.full_entries
+        assert steps(False) == ["full"] and sp.full_entries == entries + 1
+        assert steps(True, True, False, True, True, True, True) == ["full"] * 6 + ["hot"]
+        assert steps(None) == ["full"] and sp.full_entries == entries + 2
+        assert steps(True, True, True, True, True) == ["full"] * 3 + ["hot"] * 2
+        assert sp.hot_steps == sum(mode == "hot" for _, mode in modes)
+        assert sp.full_steps == sum(a is not None and mode == "full" for a, mode in modes)
+
+    @pytest.mark.parametrize("x", [
+        np.arange(300) // 5 * 1.0,
+        np.arange(300) // 12 * 0.5,
+        np.where(np.arange(300) // 8 % 2, 1.0, -1.0),
+    ], ids=["staircase", "staircase-with-flat-windows", "square-wave"])
+    @pytest.mark.parametrize("settles", [None, lambda pos, bound: False],
+                             ids=["no-settles", "never-settles"])
+    def test_ties_go_to_the_oldest_candidate_across_the_hot_range(
+            self, monkeypatch, x, settles):
+        # Exact repeats tie: the hot search and the older one must together
+        # pick what one search over all candidates picks.
+        m, r, cap = 8, 2, 64
+        outs = []
+        for hot in (4, cap):
+            monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", hot)
+            sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+            outs.append([sp.append(v, settles) for v in x])
+            assert sp.hot_steps == 0
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_bound_above_exact_and_full_steps_exact(self, seed):
+    def test_bound_above_exact_and_full_steps_exact(self, monkeypatch, seed):
         # A settles that accepts bounds up to the 99th percentile of the
         # exact values puts the stream in both modes; every 499th append
         # passes no settles, which takes a hot-mode stream back to the
@@ -349,7 +412,8 @@ class TestHotMode:
         plain = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         exact = feed(plain, x)
         level = float(np.quantile([res[0] for res in exact if res is not None], 0.99))
-        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r, hot_candidates=32)
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 32)
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         want = windowed_left_profile(x, m, r, cap, range(n - m + 1))
         hot = full = after_entry = 0
         for k, v in enumerate(x):
