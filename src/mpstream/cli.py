@@ -131,8 +131,10 @@ def _sidecar(path: Path, suffix: str) -> Path:
     return path.with_name(path.stem + suffix)
 
 
-def cmd_generate(cfg: RunConfig, out: Path) -> int:
+def cmd_generate(cfg: RunConfig, out: Path, seed: int | None = None) -> int:
     try:
+        if seed is not None:
+            cfg.generator = replace(cfg.generator, seed=seed)
         if cfg.dataset == "four_fault":
             dataset = four_fault_dataset(cfg.generator, cfg.layout,
                                          severity=cfg.severity)
@@ -181,10 +183,10 @@ def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
              len(events), len(values),
              "n/a" if detector.threshold is None else f"{detector.threshold:.6g}")
     s = detector.stream
-    armed = s.hot_steps + s.full_steps
+    armed = s.settled_steps + s.exact_steps
     log.info("settled %d of %d armed steps (%.1f%%) from the %d most recent "
-             "candidates; %d full-mode entries", s.hot_steps, armed,
-             100.0 * s.hot_steps / max(armed, 1), stream.HOT_CANDIDATES, s.full_entries)
+             "candidates; %d full-mode entries", s.settled_steps, armed,
+             100.0 * s.settled_steps / max(armed, 1), stream.HOT_CANDIDATES, s.full_entries)
     return 0
 
 
@@ -306,10 +308,8 @@ def main(argv=None) -> int:
                                 args.length, out)
         cfg = RunConfig.load(args.config)
         if args.command == "generate":
-            if args.seed is not None:
-                cfg.generator = replace(cfg.generator, seed=args.seed)
             out = Path(args.out or cfg.out or "dataset.csv")
-            return cmd_generate(cfg, out)
+            return cmd_generate(cfg, out, args.seed)
         if args.window is not None:
             cfg.window = args.window
         input_arg = args.input or cfg.input

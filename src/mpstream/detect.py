@@ -82,7 +82,7 @@ class DetectorConfig:
 
     Every step searches the stream's most recent candidates
     (:data:`mpstream.stream.HOT_CANDIDATES`) first; once detection begins,
-    a hot-mode step ends there when that settles the chain (see
+    any step ends there when that settles the chain (see
     :meth:`FilterChain.settles`).  Events and thresholds stay exact.
     """
 
@@ -189,8 +189,8 @@ class AnomalyDetector:
     the profile value produced by the most recent step and
     ``last_neighbor`` the absolute position of the subsequence it is the
     distance to.  Both are None while the underlying stream is warming up
-    and on steps it settled from its most recent candidates alone (see
-    :class:`DetectorConfig`), so every value reported is exact.
+    and on steps settled from its most recent candidates, whatever its
+    mode (see :class:`DetectorConfig`); every value reported is exact.
 
     Single-writer like the stream it wraps; independent detectors on
     distinct channels share no state and may run concurrently.

@@ -87,6 +87,8 @@ class GeneratorConfig:
                              "to resolve the ripple component")
         if self.noise_std < 0 or self.ripple_amplitude_hz < 0:
             raise ValueError("noise_std and ripple_amplitude_hz must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def n_samples(self) -> int:

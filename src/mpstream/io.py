@@ -9,7 +9,7 @@ digits so outputs are byte-reproducible):
 * events:         ``kind,position,profile_value``.
 * profile trace:  ``t_s,f_c_hz,label,profile_value`` — per-sample; the
   profile field is empty while the stream warms up and on steps the
-  detector settled in hot mode, where it computed no exact value.
+  detector settled, where it computed no exact value.
 * report:         ``fault,accuracy,precision,recall,f_score`` — undefined
   metrics serialize as empty fields.
 * batch profile:  ``position,distance,index`` — distance and index empty

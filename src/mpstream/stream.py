@@ -38,11 +38,11 @@ from mpstream.core import (
 
 __all__ = ["StreamingProfile"]
 
-# Candidates a hot-mode step searches, the most recent ones: a step then
+# Candidates every step searches first, the most recent ones: a hot-mode step
 # costs about what a stream of capacity HOT_CANDIDATES + m + r costs.
 HOT_CANDIDATES = 1024
-# Full-mode steps in a row whose hot best settles before hot mode resumes:
-# each entry into full mode costs a correlate over the older candidates.
+# Appends after an exact one that keep every covariance current: an exact
+# append after the lease has run out costs a correlate over the older ones.
 FULL_HOLD = 64
 
 
@@ -78,14 +78,15 @@ class StreamingProfile:
     ``exclusion_radius + HOT_CANDIDATES``) and evaluates their best
     distance; then it searches the older candidates, and the older winner
     wins a tie, so the result is that of one search over the whole window.
-    Given a ``settles`` predicate, that hot best alone decides the mode.  A
-    hot-mode append advances only the hot covariances (the older ones go
-    stale) and returns the hot best if ``settles`` accepts it; otherwise it
-    rebuilds the stale ones from the samples and switches to full mode, the
-    exact step, until :data:`FULL_HOLD` steps in a row find their hot best
-    settled.  Without ``settles`` every step is exact.  Counters:
-    ``hot_steps`` and ``full_steps``, the appends given a ``settles`` that
-    returned a value in hot and in full mode, and ``full_entries``.
+    Given a ``settles`` predicate, an append whose hot best it accepts
+    returns that bound; every other append is exact.  What an append
+    returns never depends on the covariances it keeps current, only its
+    cost does: each exact append keeps every covariance current for the
+    next :data:`FULL_HOLD` appends (full mode); after that only the hot
+    ones advance (hot mode), and the next exact append first rebuilds the
+    stale ones from the samples.  Counters: ``settled_steps`` and
+    ``exact_steps``, the appends given a ``settles`` that returned a bound
+    and an exact value, and ``full_entries``, the rebuilds.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
@@ -123,10 +124,9 @@ class StreamingProfile:
         self._s1 = 0.0           # running sum over the newest m samples
         self._c1 = 0.0           # its Kahan compensation
         self._equal_run = 0      # trailing run of bitwise-identical samples
-        self._hot = False        # hot mode: covariances past the hot lags are stale
-        self._held = 0           # full-mode steps in a row whose hot best settled
-        self.hot_steps = 0
-        self.full_steps = 0
+        self._full_until = 0     # appends before it keep every covariance current
+        self.settled_steps = 0
+        self.exact_steps = 0
         self.full_entries = 0
 
     @property
@@ -169,8 +169,9 @@ class StreamingProfile:
 
         ``settles(position, bound)``, if given, says whether an upper bound
         on the profile value of the subsequence at ``position`` is all the
-        caller needs.  A hot-mode step whose bound it accepts returns
-        ``(bound, None)``; every other step returns the exact value.
+        caller needs.  A step whose hot best it accepts returns
+        ``(bound, None)``, in either mode; every other step returns the
+        exact value.
         """
         x = float(sample)
         if not math.isfinite(x):
@@ -200,7 +201,7 @@ class StreamingProfile:
         l = end - m  # buffer index of the newest subsequence
         hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
         h = max(start, hi - HOT_CANDIDATES)  # the hot ones are [h, hi)
-        lo = h if self._hot else start  # covariances kept current: [lo, l + 1)
+        lo = start if count < self._full_until else h  # current: [lo, l + 1)
         cov = self._cov
         if count == m:
             df_l = dg_l = 0.0
@@ -242,21 +243,15 @@ class StreamingProfile:
             return None
         # Score the current candidates [lo, hi); search the hot ones first.
         score = correlation_scores(cov[lo:hi], isig, self._isig[lo:hi], self._t1[:hi - lo])
-        hot = score[h - lo:] if h > lo else score  # hot mode: lo == h
-        i = h + int(hot.argmax())
-        best, value = hot[i - h], None  # value: candidate i's distance, once known
+        i = h + int(score[h - lo:].argmax())
+        best, value = score[i - lo], None  # value: candidate i's distance, once known
         if settles is not None and h > start:
             value = match_distance(buf, m, l, i, best, isig)
-            settled = settles(self._offset + l, value)
-            if settled and lo > start:
-                self.hot_steps += 1
+            if settles(self._offset + l, value):
+                self.settled_steps += 1
                 return value, None
-            self._held = self._held + 1 if settled else 0  # hot mode holds 0
-            if self._held == FULL_HOLD:
-                self._hot, self._held = True, 0
-        if lo > start:  # unsettled in hot mode: rebuild the stale covariances
+        if lo > start:  # the lease has run out: rebuild the stale covariances
             self._correlate(start, lo)
-            self._hot = False
             self.full_entries += 1
             score = correlation_scores(cov[start:lo], isig, self._isig[start:lo],
                                        self._t1[:lo - start])
@@ -267,8 +262,9 @@ class StreamingProfile:
         # match_distance re-evaluates near duplicates: values reproduce to 1e-9.
         if value is None:
             value = match_distance(buf, m, l, i, best, isig)
+        self._full_until = count + FULL_HOLD + 1
         if settles is not None:
-            self.full_steps += 1
+            self.exact_steps += 1
         return value, self._offset + i
 
     def _sweep(self, x: np.ndarray) -> MatrixProfile:

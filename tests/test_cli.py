@@ -111,6 +111,19 @@ class TestGenerate:
                      "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        ["generate", "--seed", "-1"],
+        ["generate", "--config", "{config}"],
+        ["detect", "--config", "{config}", "d.csv"],
+    ], ids=["generate-flag", "generate-config", "detect-config"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, args):
+        # numpy's own message for a negative seed names no key.
+        cfg = write_config(tmp_path, seed=-1)
+        out = tmp_path / "x.csv"
+        assert main([a.format(config=cfg) for a in args] + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "mpstream: error: seed must be >= 0\n"
+        assert not out.exists()
+
 
 class TestDetect:
     def test_pure_normal_dataset_empty_events(self, tmp_path):
@@ -248,7 +261,7 @@ class TestDetect:
         assert not (tmp_path / "e.csv").exists()
 
     def test_logs_the_share_settled_in_hot_mode(self, tmp_path, caplog):
-        # Steps are armed after warm-up and calibration; the hot-mode ones
+        # Steps are armed after warm-up and calibration; the settled ones
         # are exactly the empty trace fields after the stream's warm-up.
         # Capacity 4096 has more candidates than the 1024 hot ones.
         config = write_config(tmp_path, **{**SMALL, "capacity": 4096})

@@ -448,35 +448,62 @@ class TestSettles:
         assert not chain.settles(13, 2.5)
 
 
+def small_stream(seed):
+    """A random chain config and a 4000-sample signal with spikes, a plateau
+    and a level shift, for a capacity-256 detector with m = 16 and r = 4."""
+    from test_stream import shifted_signal
+
+    r_ = rng(300 + seed)
+    cfg = DetectorConfig(quantile_q=float(r_.uniform(0.9, 0.995)),
+                         calibration_len=int(r_.integers(100, 400)),
+                         enter_ratio=float(r_.uniform(1.0, 1.5)),
+                         exit_ratio=float(r_.uniform(0.5, 1.0)),
+                         min_event_len=int(r_.integers(1, 5)),
+                         cooldown=int(r_.integers(0, 100)),
+                         warmup=int(r_.integers(0, 300)))
+    return shifted_signal(4000, seed), cfg
+
+
+def channel(name, key):
+    """The four-fault dataset at seed ``key``, or a 4 s channel with a fault
+    of kind ``key`` at 2.0 s."""
+    if name == "four_fault":
+        return four_fault_dataset(GeneratorConfig(seed=key)).channel.samples
+    gen = GeneratorConfig(duration_s=4.0, seed=1)
+    return inject_fault(generate_base(gen), FaultSpec(FaultKind(key), 2.0, 0.05),
+                        gen, seed=1).channel.samples
+
+
 class TestHotModeDecisions:
     @staticmethod
-    def run_pair(monkeypatch, x, m, capacity, r, cfg, hot):
-        """Events and traces of the exact detector, whose stream has every
-        candidate hot, and the hot-mode one."""
+    def run(x, m, capacity, r, cfg):
+        """The detector after ``x``, its events, its trace (nan where the
+        field is empty) and the steps at which its stream rebuilt."""
+        det = AnomalyDetector(m, cfg, capacity=capacity, exclusion_radius=r)
+        events, trace, entry_steps = [], [], []
+        for k, v in enumerate(x.tolist()):
+            entries = det.stream.full_entries
+            events += det.step(v)
+            trace.append(np.nan if det.last_profile is None else det.last_profile)
+            if det.stream.full_entries > entries:
+                entry_steps.append(k)
+        return det, events, np.array(trace), entry_steps
+
+    def check_pair(self, monkeypatch, x, m, capacity, r, cfg, hot, oracle_steps):
+        """Runs the exact detector, whose stream has every candidate hot,
+        and the hot-mode one, and holds the second to the first."""
+        from oracles import windowed_left_profile
+
         runs = []
         for c in (capacity, hot):
             monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", c)
-            det = AnomalyDetector(m, cfg, capacity=capacity, exclusion_radius=r)
-            events, trace, entry_steps = [], [], []
-            for k, v in enumerate(x.tolist()):
-                entries = det.stream.full_entries
-                events += det.step(v)
-                trace.append(np.nan if det.last_profile is None else det.last_profile)
-                if det.stream.full_entries > entries:
-                    entry_steps.append(k)
-            runs.append((det, events, np.array(trace), entry_steps))
-        return runs
-
-    def check_pair(self, monkeypatch, x, m, capacity, r, cfg, hot, oracle_steps):
-        from oracles import windowed_left_profile
-
-        (exact, want, exact_trace, _), (det, got, trace, entry_steps) = \
-            self.run_pair(monkeypatch, x, m, capacity, r, cfg, hot)
-        assert exact.stream.hot_steps == 0
-        assert det.stream.hot_steps > 0 and det.stream.full_entries > 0
+            runs.append(self.run(x, m, capacity, r, cfg))
+        (exact, want, exact_trace, _), (det, got, trace, entry_steps) = runs
+        assert exact.stream.settled_steps == 0
+        assert det.stream.settled_steps > 0 and det.stream.full_entries > 0
         # Both count the armed steps: those after warm-up and calibration.
-        assert det.stream.hot_steps + det.stream.full_steps == \
-            exact.stream.full_steps == len(x) - max(cfg.warmup, m + r) - cfg.calibration_len
+        assert det.stream.settled_steps + det.stream.exact_steps == \
+            exact.stream.exact_steps == len(x) - max(cfg.warmup, m + r) - cfg.calibration_len
         assert len(entry_steps) == det.stream.full_entries
         assert det.threshold == exact.threshold
         assert [(e.kind, e.position) for e in got] == [(e.kind, e.position) for e in want]
@@ -498,36 +525,60 @@ class TestHotModeDecisions:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_small_streams(self, monkeypatch, seed):
-        from test_stream import shifted_signal
-
-        r_ = rng(300 + seed)
-        cfg = DetectorConfig(quantile_q=float(r_.uniform(0.9, 0.995)),
-                             calibration_len=int(r_.integers(100, 400)),
-                             enter_ratio=float(r_.uniform(1.0, 1.5)),
-                             exit_ratio=float(r_.uniform(0.5, 1.0)),
-                             min_event_len=int(r_.integers(1, 5)),
-                             cooldown=int(r_.integers(0, 100)),
-                             warmup=int(r_.integers(0, 300)))
-        x = shifted_signal(4000, seed)
+        x, cfg = small_stream(seed)
         got, _ = self.check_pair(monkeypatch, x, 16, 256, 4, cfg, 32, oracle_steps=20)
         assert got  # the spikes and the level shift give events
 
     @pytest.mark.parametrize("dataset", [
-        *(("four_fault", seed) for seed in (1, 2, 3, 4, 42, 4242)),
-        *(("taxonomy", kind.value) for kind in FaultKind)],
-        ids=lambda d: f"{d[0]}-{d[1]}")
+        *(("four_fault", seed, 8192) for seed in (1, 2, 3, 4, 42, 4242)),
+        *(("taxonomy", kind.value, 8192) for kind in FaultKind),
+        *(("four_fault", 1, capacity) for capacity in (16384, 32768)),
+        *(("taxonomy", kind.value, 16384) for kind in FaultKind)],
+        ids=lambda d: "-".join(str(v) for v in d if v != 8192))
     def test_default_detector_events_byte_identical(self, monkeypatch, tmp_path, dataset):
         # The default chain with its 1024 hot candidates writes the exact
-        # search's events.csv byte for byte.
-        name, key = dataset
-        if name == "four_fault":
-            x = four_fault_dataset(GeneratorConfig(seed=key)).channel.samples
-        else:
-            gen = GeneratorConfig(duration_s=4.0, seed=1)
-            x = inject_fault(generate_base(gen), FaultSpec(FaultKind(key), 2.0, 0.05),
-                             gen, seed=1).channel.samples
-        got, want = self.check_pair(monkeypatch, x, 64, 8192, 16, DetectorConfig(),
-                                    1024, oracle_steps=3)
+        # search's events.csv byte for byte, also in larger windows, which
+        # leave more older candidates behind each bound.  The 20000-sample
+        # taxonomy channels fill a 16384-sample window and slide.
+        name, key, capacity = dataset
+        got, want = self.check_pair(monkeypatch, channel(name, key), 64, capacity, 16,
+                                    DetectorConfig(), 1024, oracle_steps=3)
         write_events(tmp_path / "hot.csv", got)
         write_events(tmp_path / "exact.csv", want)
         assert (tmp_path / "hot.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
+
+    @pytest.mark.parametrize("dataset", [*(("small", seed) for seed in range(6)),
+                                         ("four_fault", 1)],
+                             ids=lambda d: f"{d[0]}-{d[1]}")
+    def test_output_does_not_depend_on_full_hold(self, monkeypatch, dataset):
+        # FULL_HOLD sets only how long the older covariances stay current
+        # after an exact step, so only the rebuilds move with it: an exact
+        # step rebuilds when the previous one lies more than FULL_HOLD steps
+        # back and the window has more candidates than the hot ones.
+        name, seed = dataset
+        if name == "small":
+            x, cfg = small_stream(seed)
+            m, capacity, r, hot = 16, 256, 4, 32
+        else:
+            x, cfg = channel(name, seed), DetectorConfig()
+            m, capacity, r, hot = 64, 8192, 16, 1024
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", hot)
+        runs = {}
+        for hold in (1, 3, 64):
+            monkeypatch.setattr(mpstream.stream, "FULL_HOLD", hold)
+            runs[hold] = self.run(x, m, capacity, r, cfg)
+        det, want, trace, _ = runs[64]
+        for hold, (other, got, other_trace, entry_steps) in runs.items():
+            assert [(e.kind, e.position) for e in got] == \
+                [(e.kind, e.position) for e in want], hold
+            for a, b in zip(got, want):
+                assert a.profile_value == pytest.approx(b.profile_value, abs=1e-9)
+            assert (np.isnan(other_trace) == np.isnan(trace)).all(), hold
+            assert (other.stream.settled_steps, other.stream.exact_steps) == \
+                (det.stream.settled_steps, det.stream.exact_steps), hold
+            exact = np.flatnonzero(~np.isnan(other_trace))
+            gap = np.diff(exact) > hold
+            older = np.minimum(exact[1:] + 1, capacity) > hot + m + r
+            assert entry_steps == exact[1:][gap & older].tolist(), hold
+        entries = [runs[hold][0].stream.full_entries for hold in (1, 3, 64)]
+        assert entries[0] > entries[2] > 0

@@ -34,7 +34,8 @@ class TestGeneratorConfig:
 
     @pytest.mark.parametrize("key, value, message", [
         ("nominal_freq_hz", 0.0, "nominal_freq_hz must be positive"),
-        ("noise_std", -0.001, "noise_std and ripple_amplitude_hz must be >= 0")])
+        ("noise_std", -0.001, "noise_std and ripple_amplitude_hz must be >= 0"),
+        ("seed", -1, "seed must be >= 0")])
     def test_out_of_range_value(self, key, value, message):
         with pytest.raises(ValueError, match=message):
             GeneratorConfig(**{key: value})

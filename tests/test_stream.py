@@ -321,7 +321,7 @@ class TestHotMode:
         sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         out = feed(sp, rng(5).normal(size=n))
         assert sum(o is not None for o in out) == n - m - r
-        assert sp.hot_steps == sp.full_steps == sp.full_entries == 0
+        assert sp.settled_steps == sp.exact_steps == sp.full_entries == 0
 
     def test_every_candidate_hot_is_the_exact_path(self, monkeypatch):
         # 64 - 8 - 2 = 54 candidates in a full window: at 54 hot candidates
@@ -333,51 +333,53 @@ class TestHotMode:
         hot = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         for v in x:
             assert hot.append(v, lambda pos, bound: True) == plain.append(v)
-        assert hot.hot_steps == 0 and hot.full_steps == len(x) - m - r
+        assert hot.settled_steps == 0 and hot.exact_steps == len(x) - m - r
 
     def test_full_hold_counts_settled_steps_in_a_row(self, monkeypatch):
-        # Settled full-mode steps in a row take the stream back to hot mode
-        # after FULL_HOLD of them; an unsettled one restarts the count, and
-        # so does the entry into full mode, whether a step's bound did not
-        # settle or the step was given no settles at all.
+        # Each exact step keeps every covariance current for the next
+        # FULL_HOLD appends, so FULL_HOLD settled steps in a row end that
+        # lease: an exact step inside it needs no rebuild, one after it
+        # rebuilds the stale covariances, whether its bound did not settle
+        # or the step was given no settles at all.  A settled step returns
+        # its bound inside the lease and after it.
         monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 4)
         monkeypatch.setattr(mpstream.stream, "FULL_HOLD", 3)
         m, r, cap = 8, 2, 64
         x = iter(rng(11).normal(size=200).tolist())
         sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         plain = StreamingProfile(m, capacity=cap, exclusion_radius=r)
-        modes = []
+        answers = []
 
-        def steps(*answers):
+        def rebuilds(*script):
             """Append one sample per answer, with a settles that gives it (or
-            none for None); returns the mode of each step."""
+            none for None); returns the steps that rebuilt."""
             out = []
-            for answer in answers:
+            for k, answer in enumerate(script):
                 v = next(x)
                 want = plain.append(v)
+                entries = sp.full_entries
                 got = sp.append(v, None if answer is None else lambda pos, bound: answer)
-                if got[1] is None:
-                    assert answer and want[0] <= got[0] + 1e-9
-                    out.append("hot")
+                if answer:
+                    assert got[1] is None and want[0] <= got[0] + 1e-9
                 else:
-                    # Exact, so the stale covariances were rebuilt.
                     assert got[0] == pytest.approx(want[0], abs=1e-9)
                     assert got[1] == want[1]
-                    out.append("full")
-            modes.extend(zip(answers, out))
+                if sp.full_entries > entries:
+                    out.append(k)
+            answers.extend(script)
             return out
 
         for v in [next(x) for _ in range(cap)]:
             plain.append(v)
             sp.append(v)
-        assert steps(True, True, True, True) == ["full"] * 3 + ["hot"]
-        entries = sp.full_entries
-        assert steps(False) == ["full"] and sp.full_entries == entries + 1
-        assert steps(True, True, False, True, True, True, True) == ["full"] * 6 + ["hot"]
-        assert steps(None) == ["full"] and sp.full_entries == entries + 2
-        assert steps(True, True, True, True, True) == ["full"] * 3 + ["hot"] * 2
-        assert sp.hot_steps == sum(mode == "hot" for _, mode in modes)
-        assert sp.full_steps == sum(a is not None and mode == "full" for a, mode in modes)
+        assert rebuilds(True, True, False) == []
+        assert rebuilds(True, True, False, False) == []
+        assert rebuilds(True, True, True, False) == [3]
+        assert rebuilds(True, True, True, True, None) == [4]
+        assert rebuilds(False, True, True, True, True, True, False, True, None) == [6]
+        assert sp.full_entries == 3
+        assert sp.settled_steps == sum(a is True for a in answers)
+        assert sp.exact_steps == sum(a is False for a in answers)
 
     @pytest.mark.parametrize("x", [
         np.arange(300) // 5 * 1.0,
@@ -396,7 +398,7 @@ class TestHotMode:
             monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", hot)
             sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
             outs.append([sp.append(v, settles) for v in x])
-            assert sp.hot_steps == 0
+            assert sp.settled_steps == 0
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -434,8 +436,8 @@ class TestHotMode:
             assert value == pytest.approx(want[k - m + 1], abs=1e-9), k
             assert znorm_distance(x[k - m + 1:k + 1], x[neighbor:neighbor + m]) == \
                 pytest.approx(value, abs=1e-9), k
-        assert (sp.hot_steps, sp.full_steps) == (hot, full)
+        assert (sp.settled_steps, sp.exact_steps) == (hot, full)
         assert hot + full == sum(res is not None and k % 499 != 0
                                  for k, res in enumerate(exact))
-        assert plain.hot_steps == plain.full_steps == 0
+        assert plain.settled_steps == plain.exact_steps == 0
         assert hot > n // 2 and after_entry == sp.full_entries > 5
