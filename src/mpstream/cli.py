@@ -185,8 +185,8 @@ def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
     s = detector.stream
     armed = s.settled_steps + s.exact_steps
     log.info("settled %d of %d armed steps (%.1f%%) from the %d most recent "
-             "candidates; %d full-mode entries", s.settled_steps, armed,
-             100.0 * s.settled_steps / max(armed, 1), stream.HOT_CANDIDATES, s.full_entries)
+             "candidates; %d rebuilds", s.settled_steps, armed,
+             100.0 * s.settled_steps / max(armed, 1), stream.HOT_CANDIDATES, s.rebuilds)
     return 0
 
 

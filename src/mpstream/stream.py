@@ -38,12 +38,9 @@ from mpstream.core import (
 
 __all__ = ["StreamingProfile"]
 
-# Candidates every step searches first, the most recent ones: a hot-mode step
-# costs about what a stream of capacity HOT_CANDIDATES + m + r costs.
+# Candidates every step searches first, the most recent ones: a settled step after
+# a settled one costs about what a stream of capacity HOT_CANDIDATES + m + r costs.
 HOT_CANDIDATES = 1024
-# Appends after an exact one that keep every covariance current: an exact
-# append after the lease has run out costs a correlate over the older ones.
-FULL_HOLD = 64
 
 
 class StreamingProfile:
@@ -81,12 +78,11 @@ class StreamingProfile:
     Given a ``settles`` predicate, an append whose hot best it accepts
     returns that bound; every other append is exact.  What an append
     returns never depends on the covariances it keeps current, only its
-    cost does: each exact append keeps every covariance current for the
-    next :data:`FULL_HOLD` appends (full mode); after that only the hot
-    ones advance (hot mode), and the next exact append first rebuilds the
-    stale ones from the samples.  Counters: ``settled_steps`` and
-    ``exact_steps``, the appends given a ``settles`` that returned a bound
-    and an exact value, and ``full_entries``, the rebuilds.
+    cost does: an append after an exact one advances every covariance; one
+    after a settled one advances only the hot ones and, if it is exact,
+    first rebuilds the older ones from the samples.  Counters:
+    ``settled_steps`` and ``exact_steps``, the appends given a ``settles``
+    that returned a bound and an exact value, and ``rebuilds``.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
@@ -124,10 +120,10 @@ class StreamingProfile:
         self._s1 = 0.0           # running sum over the newest m samples
         self._c1 = 0.0           # its Kahan compensation
         self._equal_run = 0      # trailing run of bitwise-identical samples
-        self._full_until = 0     # appends before it keep every covariance current
+        self._exact = True       # the last append was exact: all covariances current
         self.settled_steps = 0
         self.exact_steps = 0
-        self.full_entries = 0
+        self.rebuilds = 0
 
     @property
     def count(self) -> int:
@@ -170,8 +166,7 @@ class StreamingProfile:
         ``settles(position, bound)``, if given, says whether an upper bound
         on the profile value of the subsequence at ``position`` is all the
         caller needs.  A step whose hot best it accepts returns
-        ``(bound, None)``, in either mode; every other step returns the
-        exact value.
+        ``(bound, None)``; every other step returns the exact value.
         """
         x = float(sample)
         if not math.isfinite(x):
@@ -201,7 +196,7 @@ class StreamingProfile:
         l = end - m  # buffer index of the newest subsequence
         hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
         h = max(start, hi - HOT_CANDIDATES)  # the hot ones are [h, hi)
-        lo = start if count < self._full_until else h  # current: [lo, l + 1)
+        lo = start if self._exact else h  # current: [lo, l + 1)
         cov = self._cov
         if count == m:
             df_l = dg_l = 0.0
@@ -249,10 +244,11 @@ class StreamingProfile:
             value = match_distance(buf, m, l, i, best, isig)
             if settles(self._offset + l, value):
                 self.settled_steps += 1
+                self._exact = False
                 return value, None
-        if lo > start:  # the lease has run out: rebuild the stale covariances
+        if lo > start:  # the last append settled: rebuild the stale covariances
             self._correlate(start, lo)
-            self.full_entries += 1
+            self.rebuilds += 1
             score = correlation_scores(cov[start:lo], isig, self._isig[start:lo],
                                        self._t1[:lo - start])
         if h > start:  # the older candidates, which win ties as in one argmax
@@ -262,7 +258,7 @@ class StreamingProfile:
         # match_distance re-evaluates near duplicates: values reproduce to 1e-9.
         if value is None:
             value = match_distance(buf, m, l, i, best, isig)
-        self._full_until = count + FULL_HOLD + 1
+        self._exact = True
         if settles is not None:
             self.exact_steps += 1
         return value, self._offset + i

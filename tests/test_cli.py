@@ -279,7 +279,13 @@ class TestDetect:
         assert message.startswith(f"settled {hot} of {armed} armed steps "
                                   f"({100 * hot / armed:.1f}%) from the 1024 "
                                   "most recent candidates; ")
-        assert message.endswith(" full-mode entries")
+        # An exact step rebuilds when the step before it settled and the
+        # window holds older candidates than the hot ones.
+        settled = [k >= warm and line.endswith(",") for k, line in enumerate(lines)]
+        rebuilds = sum(settled[k - 1] and not settled[k] and min(k + 1, 4096) > 1024 + warm
+                       for k in range(warm, len(lines)))
+        assert rebuilds > 0
+        assert message.endswith(f"; {rebuilds} rebuilds")
 
     def test_threshold_value_alone_fixes_the_threshold(self, tmp_path):
         # A finite threshold_value is used as is, from the end of warm-up

@@ -480,14 +480,14 @@ class TestHotModeDecisions:
         """The detector after ``x``, its events, its trace (nan where the
         field is empty) and the steps at which its stream rebuilt."""
         det = AnomalyDetector(m, cfg, capacity=capacity, exclusion_radius=r)
-        events, trace, entry_steps = [], [], []
+        events, trace, rebuild_steps = [], [], []
         for k, v in enumerate(x.tolist()):
-            entries = det.stream.full_entries
+            before = det.stream.rebuilds
             events += det.step(v)
             trace.append(np.nan if det.last_profile is None else det.last_profile)
-            if det.stream.full_entries > entries:
-                entry_steps.append(k)
-        return det, events, np.array(trace), entry_steps
+            if det.stream.rebuilds > before:
+                rebuild_steps.append(k)
+        return det, events, np.array(trace), rebuild_steps
 
     def check_pair(self, monkeypatch, x, m, capacity, r, cfg, hot, oracle_steps):
         """Runs the exact detector, whose stream has every candidate hot,
@@ -498,13 +498,13 @@ class TestHotModeDecisions:
         for c in (capacity, hot):
             monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", c)
             runs.append(self.run(x, m, capacity, r, cfg))
-        (exact, want, exact_trace, _), (det, got, trace, entry_steps) = runs
+        (exact, want, exact_trace, _), (det, got, trace, rebuild_steps) = runs
         assert exact.stream.settled_steps == 0
-        assert det.stream.settled_steps > 0 and det.stream.full_entries > 0
+        assert det.stream.settled_steps > 0 and det.stream.rebuilds > 0
         # Both count the armed steps: those after warm-up and calibration.
         assert det.stream.settled_steps + det.stream.exact_steps == \
             exact.stream.exact_steps == len(x) - max(cfg.warmup, m + r) - cfg.calibration_len
-        assert len(entry_steps) == det.stream.full_entries
+        assert len(rebuild_steps) == det.stream.rebuilds
         assert det.threshold == exact.threshold
         assert [(e.kind, e.position) for e in got] == [(e.kind, e.position) for e in want]
         for a, b in zip(got, want):
@@ -512,9 +512,16 @@ class TestHotModeDecisions:
         shown = ~np.isnan(trace)
         assert np.isnan(exact_trace[~shown]).sum() == m + r  # the stream's warm-up
         assert np.abs(trace[shown] - exact_trace[shown]).max() <= 1e-9
+        # An exact step rebuilds exactly when the step before it settled and
+        # the window holds older candidates than the hot ones.
+        settled = ~shown
+        settled[:m + r] = False  # the stream's warm-up
+        after = np.arange(1, len(x))  # the steps with a step before them
+        older = np.minimum(after + 1, capacity) > hot + m + r
+        assert rebuild_steps == after[shown[1:] & settled[:-1] & older].tolist()
         # The oracle at the first step after each of the first oracle_steps
         # rebuilds, and at oracle_steps randomly drawn exact steps.
-        steps = entry_steps[:oracle_steps] + [
+        steps = rebuild_steps[:oracle_steps] + [
             int(k) for k in rng(7).choice(np.flatnonzero(shown), oracle_steps)]
         for k in steps:
             assert shown[k]
@@ -546,39 +553,3 @@ class TestHotModeDecisions:
         write_events(tmp_path / "hot.csv", got)
         write_events(tmp_path / "exact.csv", want)
         assert (tmp_path / "hot.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
-
-    @pytest.mark.parametrize("dataset", [*(("small", seed) for seed in range(6)),
-                                         ("four_fault", 1)],
-                             ids=lambda d: f"{d[0]}-{d[1]}")
-    def test_output_does_not_depend_on_full_hold(self, monkeypatch, dataset):
-        # FULL_HOLD sets only how long the older covariances stay current
-        # after an exact step, so only the rebuilds move with it: an exact
-        # step rebuilds when the previous one lies more than FULL_HOLD steps
-        # back and the window has more candidates than the hot ones.
-        name, seed = dataset
-        if name == "small":
-            x, cfg = small_stream(seed)
-            m, capacity, r, hot = 16, 256, 4, 32
-        else:
-            x, cfg = channel(name, seed), DetectorConfig()
-            m, capacity, r, hot = 64, 8192, 16, 1024
-        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", hot)
-        runs = {}
-        for hold in (1, 3, 64):
-            monkeypatch.setattr(mpstream.stream, "FULL_HOLD", hold)
-            runs[hold] = self.run(x, m, capacity, r, cfg)
-        det, want, trace, _ = runs[64]
-        for hold, (other, got, other_trace, entry_steps) in runs.items():
-            assert [(e.kind, e.position) for e in got] == \
-                [(e.kind, e.position) for e in want], hold
-            for a, b in zip(got, want):
-                assert a.profile_value == pytest.approx(b.profile_value, abs=1e-9)
-            assert (np.isnan(other_trace) == np.isnan(trace)).all(), hold
-            assert (other.stream.settled_steps, other.stream.exact_steps) == \
-                (det.stream.settled_steps, det.stream.exact_steps), hold
-            exact = np.flatnonzero(~np.isnan(other_trace))
-            gap = np.diff(exact) > hold
-            older = np.minimum(exact[1:] + 1, capacity) > hot + m + r
-            assert entry_steps == exact[1:][gap & older].tolist(), hold
-        entries = [runs[hold][0].stream.full_entries for hold in (1, 3, 64)]
-        assert entries[0] > entries[2] > 0

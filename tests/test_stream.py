@@ -321,7 +321,7 @@ class TestHotMode:
         sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         out = feed(sp, rng(5).normal(size=n))
         assert sum(o is not None for o in out) == n - m - r
-        assert sp.settled_steps == sp.exact_steps == sp.full_entries == 0
+        assert sp.settled_steps == sp.exact_steps == sp.rebuilds == 0
 
     def test_every_candidate_hot_is_the_exact_path(self, monkeypatch):
         # 64 - 8 - 2 = 54 candidates in a full window: at 54 hot candidates
@@ -335,15 +335,13 @@ class TestHotMode:
             assert hot.append(v, lambda pos, bound: True) == plain.append(v)
         assert hot.settled_steps == 0 and hot.exact_steps == len(x) - m - r
 
-    def test_full_hold_counts_settled_steps_in_a_row(self, monkeypatch):
-        # Each exact step keeps every covariance current for the next
-        # FULL_HOLD appends, so FULL_HOLD settled steps in a row end that
-        # lease: an exact step inside it needs no rebuild, one after it
-        # rebuilds the stale covariances, whether its bound did not settle
-        # or the step was given no settles at all.  A settled step returns
-        # its bound inside the lease and after it.
+    def test_a_step_after_a_settled_one_rebuilds_if_exact(self, monkeypatch):
+        # An exact step leaves every covariance current and a settled one
+        # leaves only the hot ones, so an exact step rebuilds the older
+        # covariances exactly when the step before it settled, whether its
+        # bound did not settle or it was given no settles at all.  A settled
+        # step returns its bound, also right after an exact one.
         monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 4)
-        monkeypatch.setattr(mpstream.stream, "FULL_HOLD", 3)
         m, r, cap = 8, 2, 64
         x = iter(rng(11).normal(size=200).tolist())
         sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
@@ -357,14 +355,21 @@ class TestHotMode:
             for k, answer in enumerate(script):
                 v = next(x)
                 want = plain.append(v)
-                entries = sp.full_entries
-                got = sp.append(v, None if answer is None else lambda pos, bound: answer)
+                before = sp.rebuilds
+                bounds = []
+
+                def settles(pos, bound):
+                    bounds.append(bound)
+                    return answer
+
+                got = sp.append(v, None if answer is None else settles)
                 if answer:
-                    assert got[1] is None and want[0] <= got[0] + 1e-9
+                    assert got == (bounds[0], None)
+                    assert want[0] <= got[0] + 1e-9
                 else:
                     assert got[0] == pytest.approx(want[0], abs=1e-9)
                     assert got[1] == want[1]
-                if sp.full_entries > entries:
+                if sp.rebuilds > before:
                     out.append(k)
             answers.extend(script)
             return out
@@ -372,12 +377,11 @@ class TestHotMode:
         for v in [next(x) for _ in range(cap)]:
             plain.append(v)
             sp.append(v)
-        assert rebuilds(True, True, False) == []
-        assert rebuilds(True, True, False, False) == []
-        assert rebuilds(True, True, True, False) == [3]
-        assert rebuilds(True, True, True, True, None) == [4]
-        assert rebuilds(False, True, True, True, True, True, False, True, None) == [6]
-        assert sp.full_entries == 3
+        assert rebuilds(True, False) == [1]
+        assert rebuilds(False, False) == []
+        assert rebuilds(True, None) == [1]
+        assert rebuilds(None, True, True, True, False, True, None) == [4, 6]
+        assert sp.rebuilds == 4
         assert sp.settled_steps == sum(a is True for a in answers)
         assert sp.exact_steps == sum(a is False for a in answers)
 
@@ -404,9 +408,9 @@ class TestHotMode:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bound_above_exact_and_full_steps_exact(self, monkeypatch, seed):
         # A settles that accepts bounds up to the 99th percentile of the
-        # exact values puts the stream in both modes; every 499th append
-        # passes no settles, which takes a hot-mode stream back to the
-        # exact search.
+        # exact values makes most steps settle; every 499th append passes
+        # no settles, so it is exact and rebuilds if the step before it
+        # settled.
         from oracles import windowed_left_profile
 
         m, r, cap, n = 16, 4, 256, 3000
@@ -417,9 +421,9 @@ class TestHotMode:
         monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 32)
         sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         want = windowed_left_profile(x, m, r, cap, range(n - m + 1))
-        hot = full = after_entry = 0
+        hot = full = rebuilt = 0
         for k, v in enumerate(x):
-            entries = sp.full_entries
+            before = sp.rebuilds
             given = k % 499 != 0
             res = sp.append(v, (lambda pos, b: b <= level) if given else None)
             if res is None:
@@ -431,7 +435,7 @@ class TestHotMode:
                 assert exact[k][0] - 1e-9 <= value <= level
                 continue
             full += given
-            after_entry += sp.full_entries > entries
+            rebuilt += sp.rebuilds > before
             assert value == pytest.approx(exact[k][0], abs=1e-9), k
             assert value == pytest.approx(want[k - m + 1], abs=1e-9), k
             assert znorm_distance(x[k - m + 1:k + 1], x[neighbor:neighbor + m]) == \
@@ -440,4 +444,4 @@ class TestHotMode:
         assert hot + full == sum(res is not None and k % 499 != 0
                                  for k, res in enumerate(exact))
         assert plain.settled_steps == plain.exact_steps == 0
-        assert hot > n // 2 and after_entry == sp.full_entries > 5
+        assert hot > n // 2 and rebuilt == sp.rebuilds > 5
