@@ -476,13 +476,17 @@ def channel(name, key):
 
 class TestHotModeDecisions:
     @staticmethod
-    def run(x, m, capacity, r, cfg):
+    def run(x, m, capacity, r, cfg, carry=True):
         """The detector after ``x``, its events, its trace (nan where the
-        field is empty) and the steps at which its stream rebuilt."""
+        field is empty) and the steps at which its stream rebuilt.  With
+        ``carry`` false every append starts as if the last one settled, so
+        no older covariance is carried past an exact step."""
         det = AnomalyDetector(m, cfg, capacity=capacity, exclusion_radius=r)
         events, trace, rebuild_steps = [], [], []
         for k, v in enumerate(x.tolist()):
             before = det.stream.rebuilds
+            if not carry:
+                det.stream._exact = False
             events += det.step(v)
             trace.append(np.nan if det.last_profile is None else det.last_profile)
             if det.stream.rebuilds > before:
@@ -553,3 +557,36 @@ class TestHotModeDecisions:
         write_events(tmp_path / "hot.csv", got)
         write_events(tmp_path / "exact.csv", want)
         assert (tmp_path / "hot.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
+
+    @pytest.mark.parametrize("dataset", [*(("small", seed) for seed in range(6)),
+                                         ("four_fault", 1)],
+                             ids=lambda d: f"{d[0]}-{d[1]}")
+    def test_output_does_not_depend_on_carrying_older_covariances(self, monkeypatch,
+                                                                  dataset):
+        # An exact append advances the older covariances by the recurrence,
+        # so the next exact one needs no rebuild.  A stream that instead
+        # rebuilds them at every exact step with older candidates reports
+        # the same steps, settled or exact, and the same values.
+        name, seed = dataset
+        if name == "small":
+            x, cfg = small_stream(seed)
+            m, capacity, r, hot = 16, 256, 4, 32
+        else:
+            x, cfg = channel(name, seed), DetectorConfig()
+            m, capacity, r, hot = 64, 8192, 16, 1024
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", hot)
+        det, want, trace, _ = self.run(x, m, capacity, r, cfg)
+        other, got, other_trace, rebuild_steps = self.run(x, m, capacity, r, cfg,
+                                                          carry=False)
+        assert [(e.kind, e.position) for e in got] == [(e.kind, e.position) for e in want]
+        for a, b in zip(got, want):
+            assert a.profile_value == pytest.approx(b.profile_value, abs=1e-9)
+        shown = ~np.isnan(trace)
+        assert (np.isnan(other_trace) == ~shown).all()
+        assert np.abs(other_trace[shown] - trace[shown]).max() <= 1e-9
+        assert (other.stream.settled_steps, other.stream.exact_steps) == \
+            (det.stream.settled_steps, det.stream.exact_steps)
+        steps = np.arange(len(x))
+        older = np.minimum(steps + 1, capacity) > hot + m + r
+        assert rebuild_steps == steps[shown & older].tolist()
+        assert other.stream.rebuilds > det.stream.rebuilds > 0
