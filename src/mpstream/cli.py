@@ -184,9 +184,12 @@ def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
              "n/a" if detector.threshold is None else f"{detector.threshold:.6g}")
     s = detector.stream
     armed = s.settled_steps + s.exact_steps
-    log.info("settled %d of %d armed steps (%.1f%%) from the %d most recent "
-             "candidates; %d rebuilds", s.settled_steps, armed,
-             100.0 * s.settled_steps / max(armed, 1), stream.HOT_CANDIDATES, s.rebuilds)
+    log.info("settled %d of %d armed steps (%.1f%%): %d on the last neighbor's "
+             "successor, %d on the %d probed lags, %d on the %d most recent "
+             "candidates; %d hot rebuilds, %d rebuilds", s.settled_steps, armed,
+             100.0 * s.settled_steps / max(armed, 1), s.successor_steps, s.probe_steps,
+             stream.PROBE_LAGS, s.search_steps, stream.HOT_CANDIDATES, s.hot_rebuilds,
+             s.rebuilds)
     return 0
 
 

@@ -81,9 +81,12 @@ class DetectorConfig:
     ValueError from :meth:`AnomalyDetector.step`.
 
     Every step searches the stream's most recent candidates
-    (:data:`mpstream.stream.HOT_CANDIDATES`) first; once detection begins,
-    any step ends there when that settles the chain (see
-    :meth:`FilterChain.settles`).  Events and thresholds stay exact.
+    (:data:`mpstream.stream.HOT_CANDIDATES`) first.  Once detection begins,
+    a step ends as soon as a bound settles the chain (see
+    :meth:`FilterChain.settles`): after a settled step, first the distance
+    to the last neighbor's successor, then the best of a few hot lags
+    (:data:`mpstream.stream.PROBE_LAGS`), then the best of the most recent
+    candidates.  Events and thresholds stay exact.
     """
 
     threshold_value: float | None = None
@@ -189,8 +192,8 @@ class AnomalyDetector:
     the profile value produced by the most recent step and
     ``last_neighbor`` the absolute position of the subsequence it is the
     distance to.  Both are None while the underlying stream is warming up
-    and on steps settled from its most recent candidates, whatever its
-    mode (see :class:`DetectorConfig`); every value reported is exact.
+    and on steps that a bound settled (see :class:`DetectorConfig`); every
+    value reported is exact.
 
     Single-writer like the stream it wraps; independent detectors on
     distinct channels share no state and may run concurrently.

@@ -18,7 +18,9 @@ appending the window again.
 
 Every append searches the most recent candidates first; given a
 ``settles`` predicate, it stops there when their best distance settles it,
-after DAMP (Lu et al., "Matrix Profile XXIV", KDD 2022).
+after DAMP (Lu et al., "Matrix Profile XXIV", KDD 2022).  An append after a
+settled one tries the last neighbor's successor before that, after SCRIMP++
+(Zhu et al., ICDM 2018), and, when it must, the best lags of the last search.
 """
 
 from __future__ import annotations
@@ -38,9 +40,15 @@ from mpstream.core import (
 
 __all__ = ["StreamingProfile"]
 
-# Candidates every step searches first, the most recent ones: a settled step after
-# a settled one costs about what a stream of capacity HOT_CANDIDATES + m + r costs.
+# Candidates every step searches first, the most recent ones.  A step settled
+# by their search costs about what a stream of capacity HOT_CANDIDATES + m + r
+# costs; one settled by the successor or the probe does no work over them.
 HOT_CANDIDATES = 1024
+# Hot lags the probe scores: the best ones of the last search.  A step that
+# the probe does not settle rebuilds the hot covariances; on the default
+# channel at seed 1, probes of 16, 32, 64, 96 and 128 lags leave 778, 493, 320,
+# 265 and 253 such steps of 96000 armed ones, and a probe of every hot lag 248.
+PROBE_LAGS = 96
 
 
 class StreamingProfile:
@@ -76,13 +84,25 @@ class StreamingProfile:
     distance; then it searches the older candidates, and the older winner
     wins a tie, so the result is that of one search over the whole window.
     Given a ``settles`` predicate, an append whose hot best it accepts
-    returns that bound; every other append is exact.  What an append
-    returns never depends on the covariances it keeps current, only its
-    cost does: an append after an exact one advances every covariance; one
-    after a settled one advances only the hot ones and, if it is exact,
-    first rebuilds the older ones from the samples.  Counters:
-    ``settled_steps`` and ``exact_steps``, the appends given a ``settles``
-    that returned a bound and an exact value, and ``rebuilds``.
+    returns that bound; every other append is exact.  An append after a
+    settled one first offers two distances to single hot candidates, which
+    are never below the hot best: the last neighbor's successor, one scalar
+    step of the recurrence from the last neighbor's covariance, and, if the
+    hot covariances are stale, the best of the :data:`PROBE_LAGS` best hot
+    lags of the last search, scored straight from the samples.
+    ``settles`` is monotone in the bound, so these tiers change which
+    bound a settled append returns, never which appends settle.
+
+    What an append returns never depends on the covariances it keeps
+    current, only its cost does: an append after an exact one advances
+    every covariance; one after a settled one advances only the hot ones,
+    or, once a tier has settled, none but lag 0 until an append needs the
+    hot ones and rebuilds them from the samples.  An exact append after a
+    settled one first rebuilds the older ones.  Counters: ``settled_steps``
+    and ``exact_steps``, the appends given a ``settles`` that returned a
+    bound and an exact value; ``successor_steps``, ``probe_steps`` and
+    ``search_steps``, the settled ones by what settled them;
+    ``hot_rebuilds`` and ``rebuilds``.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
@@ -121,8 +141,17 @@ class StreamingProfile:
         self._c1 = 0.0           # its Kahan compensation
         self._equal_run = 0      # trailing run of bitwise-identical samples
         self._exact = True       # the last append was exact: all covariances current
+        self._hot = True         # the hot covariances are current
+        self._lag = None         # the last append's neighbor if it settled, as a
+        self._c = 0.0            # lag, and its covariance with the newest subsequence
+        self._ranked = None      # the hot scores of the last search that settled
+        self._probe = None       # their best windows, by row: offsets from the hot range's start
         self.settled_steps = 0
+        self.successor_steps = 0
+        self.probe_steps = 0
+        self.search_steps = 0
         self.exact_steps = 0
+        self.hot_rebuilds = 0
         self.rebuilds = 0
 
     @property
@@ -165,8 +194,10 @@ class StreamingProfile:
 
         ``settles(position, bound)``, if given, says whether an upper bound
         on the profile value of the subsequence at ``position`` is all the
-        caller needs.  A step whose hot best it accepts returns
-        ``(bound, None)``; every other step returns the exact value.
+        caller needs; it must accept every bound below one it accepts.  A
+        step whose hot best it accepts returns ``(bound, None)``, with the
+        first bound it accepted: the successor's, the probe's or the hot
+        best.  Every other step returns the exact value.
         """
         x = float(sample)
         if not math.isfinite(x):
@@ -212,6 +243,11 @@ class StreamingProfile:
         self._df[l] = df_l
         self._dg[l] = dg_l
 
+        # A step after a settled one first tries two bounds that need no
+        # work over the hot candidates.  (After an exact one the successor
+        # almost never settles: 7 of 2137 such steps on the default channel
+        # at seed 1.)
+        tiers = settles is not None and self._lag is not None
         # The running sum and the covariances are recomputed from the
         # samples every min(capacity, 8192) appends (a batch sweep's stream
         # never fills): short-lag covariances never leave the window, so
@@ -220,7 +256,8 @@ class StreamingProfile:
             self._s1 = float(np.sum(buf[l:end]))
             self._c1 = 0.0
             self._correlate(lo, l + 1)
-        else:
+            self._hot, tiers = True, False
+        elif self._hot:
             # Once the window has slid, the oldest candidate's predecessor
             # is still at buffer index start - 1 (_compact keeps it), so the
             # recurrence covers it too; before that it is computed directly.
@@ -229,10 +266,52 @@ class StreamingProfile:
                             df_l, dg_l, cov[a:l + 1], self._t1[:l + 1 - a])
             if not lo:
                 cov[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
+        else:
+            # Only lag 0 is current: carry it alone, in covariance_step's
+            # operation order.
+            cov[l] = (dg_l * df_l + float(cov[l - 1])) + df_l * dg_l
         # The variance is the recurrence's own diagonal.
         var = float(cov[l]) / m
         isig = 0.0 if var <= 0.0 or self._equal_run >= m else 1.0 / math.sqrt(var)
         self._isig[l] = isig
+
+        if tiers:
+            pos = self._offset + l
+            # The last neighbor was hot, and so is its successor at the same
+            # lag: one scalar step of the recurrence gives its covariance.
+            k = l - self._lag
+            c = (float(self._dg[k]) * df_l + self._c) + float(self._df[k]) * dg_l
+            isig_k = float(self._isig[k])
+            value = match_distance(buf, m, l, k, float(isig_k == 0.0) if isig == 0.0
+                                   else c * isig_k, isig)
+            if settles(pos, value):
+                if self._hot:  # they go stale: keep the last search's best lags
+                    p = min(PROBE_LAGS, self._ranked.size)
+                    best = np.argpartition(self._ranked, -p)[-p:]
+                    self._probe = best[:, None] + np.arange(m)
+                self.settled_steps += 1
+                self.successor_steps += 1
+                self._hot = False
+                self._c = c
+                return value, None
+            if not self._hot:
+                # Score the probe's lags straight from the samples; the hot
+                # lags are the same at every step that has older candidates.
+                c = buf[h:].take(self._probe) @ (buf[l:end] - self._s1 / m)
+                score = self._isig[h:].take(self._probe[:, 0])
+                correlation_scores(c, isig, score, score)
+                j = int(score.argmax())
+                k = h + int(self._probe[j, 0])
+                value = match_distance(buf, m, l, k, float(score[j]), isig)
+                if settles(pos, value):
+                    self.settled_steps += 1
+                    self.probe_steps += 1
+                    self._lag, self._c = l - k, float(c[j])
+                    return value, None
+        if not self._hot:  # stale: rebuild the hot covariances from the samples
+            self._correlate(h, l)
+            self.hot_rebuilds += 1
+            self._hot = True
 
         if hi <= start:
             return None
@@ -244,7 +323,10 @@ class StreamingProfile:
             value = match_distance(buf, m, l, i, best, isig)
             if settles(self._offset + l, value):
                 self.settled_steps += 1
+                self.search_steps += 1
                 self._exact = False
+                self._lag, self._c = l - i, float(cov[i])
+                self._ranked = score[h - lo:].copy()
                 return value, None
         if lo > start:  # the last append settled: rebuild the stale covariances
             self._correlate(start, lo)
@@ -258,7 +340,7 @@ class StreamingProfile:
         # match_distance re-evaluates near duplicates: values reproduce to 1e-9.
         if value is None:
             value = match_distance(buf, m, l, i, best, isig)
-        self._exact = True
+        self._exact, self._lag = True, None
         if settles is not None:
             self.exact_steps += 1
         return value, self._offset + i

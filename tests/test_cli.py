@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -276,16 +277,24 @@ class TestDetect:
         hot = sum(line.endswith(",") for line in lines[warm:])
         armed = len(lines) - SMALL["warmup"] - SMALL["calibration_len"]
         assert 0 < hot < armed
-        assert message.startswith(f"settled {hot} of {armed} armed steps "
-                                  f"({100 * hot / armed:.1f}%) from the 1024 "
-                                  "most recent candidates; ")
+        found = re.fullmatch(
+            rf"settled {hot} of {armed} armed steps \({100 * hot / armed:.1f}%\): "
+            r"(\d+) on the last neighbor's successor, (\d+) on the 96 probed lags, "
+            r"(\d+) on the 1024 most recent candidates; (\d+) hot rebuilds, (\d+) rebuilds",
+            message)
+        assert found
+        successor, probe, search, hot_rebuilds, logged = map(int, found.groups())
+        assert successor + probe + search == hot and successor > search
         # An exact step rebuilds when the step before it settled and the
         # window holds older candidates than the hot ones.
         settled = [k >= warm and line.endswith(",") for k, line in enumerate(lines)]
         rebuilds = sum(settled[k - 1] and not settled[k] and min(k + 1, 4096) > 1024 + warm
                        for k in range(warm, len(lines)))
-        assert rebuilds > 0
-        assert message.endswith(f"; {rebuilds} rebuilds")
+        assert logged == rebuilds > 0
+        # The hot covariances are rebuilt only by a step that searches them
+        # after a settled one: an exact step that rebuilds, or one the search
+        # settles.
+        assert 0 < hot_rebuilds <= rebuilds + search
 
     def test_threshold_value_alone_fixes_the_threshold(self, tmp_path):
         # A finite threshold_value is used as is, from the end of warm-up

@@ -503,8 +503,14 @@ class TestHotModeDecisions:
             monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", c)
             runs.append(self.run(x, m, capacity, r, cfg))
         (exact, want, exact_trace, _), (det, got, trace, rebuild_steps) = runs
-        assert exact.stream.settled_steps == 0
-        assert det.stream.settled_steps > 0 and det.stream.rebuilds > 0
+        s = det.stream
+        assert exact.stream.settled_steps == exact.stream.hot_rebuilds == 0
+        assert s.settled_steps > 0 and s.rebuilds > 0
+        # Every settled step is settled by one tier, most by the successor.
+        assert s.successor_steps + s.probe_steps + s.search_steps == s.settled_steps
+        assert s.successor_steps > s.settled_steps // 2
+        # The hot covariances are rebuilt only by a step that searches them.
+        assert s.hot_rebuilds <= s.search_steps + s.rebuilds
         # Both count the armed steps: those after warm-up and calibration.
         assert det.stream.settled_steps + det.stream.exact_steps == \
             exact.stream.exact_steps == len(x) - max(cfg.warmup, m + r) - cfg.calibration_len

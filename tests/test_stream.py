@@ -385,6 +385,73 @@ class TestHotMode:
         assert sp.settled_steps == sum(a is True for a in answers)
         assert sp.exact_steps == sum(a is False for a in answers)
 
+    def test_a_step_settled_by_the_successor_does_no_vector_work(self, monkeypatch):
+        # Once a tier has settled a step, the hot covariances are stale, and
+        # a step that the last neighbor's successor settles advances none of
+        # them: it calls neither the vector recurrence nor np.correlate, and
+        # returns a bound at or above its exact value.
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 16)
+        calls = []
+        step, correlate = mpstream.stream.covariance_step, np.correlate
+
+        def counted(f):
+            return lambda *args, **kwargs: calls.append(f) or f(*args, **kwargs)
+
+        monkeypatch.setattr(mpstream.stream, "covariance_step", counted(step))
+        monkeypatch.setattr(np, "correlate", counted(correlate))
+        m, r, cap = 8, 2, 64
+        x = np.sin(2 * np.pi * np.arange(900) / 10) + rng(4).normal(0, 0.1, 900)
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        plain = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        stale, quiet = False, 0  # the hot covariances are stale after a tier
+        for v in x:
+            want = plain.append(v)
+            n, successor = len(calls), sp.successor_steps
+            tiers = sp.successor_steps + sp.probe_steps
+            got = sp.append(v, lambda pos, bound: True)
+            if stale and sp.successor_steps > successor:
+                assert len(calls) == n
+                assert got[1] is None and want[0] <= got[0] + 1e-9
+                quiet += 1
+            stale = sp.successor_steps + sp.probe_steps > tiers
+        assert sp.settled_steps + sp.exact_steps == len(x) - m - r
+        assert quiet > len(x) // 2
+
+    @pytest.mark.parametrize("hot, probe", [(4, None), (32, None), (32, 8)])
+    def test_every_bound_is_a_hot_distance(self, monkeypatch, hot, probe):
+        # A settles that accepts only the hot best lets the successor settle
+        # a step only where it is the hot best, and the probe where it scores
+        # the best hot lag: always, when it has every hot lag (the default
+        # PROBE_LAGS exceeds both hot sizes).  Every bound is the distance to
+        # a hot candidate.
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", hot)
+        if probe is not None:
+            monkeypatch.setattr(mpstream.stream, "PROBE_LAGS", probe)
+        m, r, cap = 16, 4, 256
+        x = shifted_signal(1500, 5)
+        hot_distances = {}
+
+        def settles(pos, bound):
+            if pos not in hot_distances:
+                hot_distances[pos] = [znorm_distance(x[pos:pos + m], x[j:j + m])
+                                      for j in range(pos - r - hot, pos - r)]
+            return bound <= min(hot_distances[pos]) + 1e-9
+
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        settled = 0
+        for k, v in enumerate(x):
+            res = sp.append(v, settles)
+            if res is None or res[1] is not None:
+                continue
+            d = hot_distances[k - m + 1]
+            assert min(abs(res[0] - e) for e in d) <= 1e-9, k
+            assert res[0] >= min(d) - 1e-9, k
+            settled += 1
+        assert settled == sp.settled_steps == \
+            sp.successor_steps + sp.probe_steps + sp.search_steps
+        assert sp.successor_steps > 0 and sp.probe_steps > 10
+        assert (sp.hot_rebuilds == 0) == (mpstream.stream.PROBE_LAGS >= hot)
+
     @pytest.mark.parametrize("x", [
         np.arange(300) // 5 * 1.0,
         np.arange(300) // 12 * 0.5,
