@@ -169,8 +169,8 @@ def cmd_detect(cfg: RunConfig, in_path: Path, out: Path) -> int:
     events = []
     trace = []
     try:
-        for x in values:
-            events.extend(detector.step(float(x)))
+        for x in values.tolist():
+            events.extend(detector.step(x))
             trace.append(detector.last_profile)
     except ValueError as exc:
         raise DataError(f"{in_path}: {exc}") from exc

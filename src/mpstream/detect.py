@@ -215,7 +215,8 @@ class AnomalyDetector:
     def step(self, sample: float) -> list[DetectionEvent]:
         """Ingest one sample and return any events it produced."""
         sample_index = self.stream.count
-        armed = self._chain is not None and sample_index >= self.config.warmup
+        warm = sample_index >= self.config.warmup
+        armed = warm and self._chain is not None
         result = self.stream.append(sample, self._chain.settles if armed else None)
         if result is None:
             self.last_profile = self.last_neighbor = None
@@ -223,7 +224,7 @@ class AnomalyDetector:
         value, self.last_neighbor = result
         self.last_profile = None if self.last_neighbor is None else value
 
-        if sample_index < self.config.warmup:
+        if not warm:
             return []
 
         if self.threshold is None:

@@ -62,6 +62,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _fmt_column(values):
+    # A memoryview yields Python floats one at a time, without a list of them.
+    return map("{:.9g}".format, memoryview(np.asarray(values, dtype=np.float64)))
+
+
 def _write(path, header, rows) -> None:
     """Write ``header``, then ``rows``, as the CSV at ``path``."""
     try:
@@ -106,11 +111,10 @@ def _sample_labels(dataset: LabeledDataset) -> list[str]:
 
 
 def write_dataset(path, dataset: LabeledDataset) -> None:
-    t = dataset.channel.times_s
-    x = dataset.channel.samples
-    labels = _sample_labels(dataset)
+    channel = dataset.channel
     _write(path, DATASET_HEADER,
-           ([_fmt(t[i]), _fmt(x[i]), labels[i]] for i in range(x.size)))
+           zip(_fmt_column(channel.times_s), _fmt_column(channel.samples),
+               _sample_labels(dataset)))
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -174,8 +178,9 @@ def read_events(path) -> list[DetectionEvent]:
 def write_profile_trace(path, times, values, labels, profile_values) -> None:
     """Per-sample tidy trace; ``profile_values`` entries may be None."""
     _write(path, PROFILE_HEADER,
-           ([_fmt(t), _fmt(x), lab, "" if pv is None else _fmt(pv)]
-            for t, x, lab, pv in zip(times, values, labels, profile_values)))
+           ((t, x, lab, "" if pv is None else _fmt(pv))
+            for t, x, lab, pv in zip(_fmt_column(times), _fmt_column(values),
+                                     labels, profile_values)))
 
 
 def write_profile(path, mp: MatrixProfile) -> None:

@@ -104,6 +104,10 @@ class StreamingProfile:
     ``search_steps``, the settled ones by what settled them;
     ``hot_rebuilds`` and ``rebuilds``.
 
+    :meth:`append` reads and writes single elements as Python floats through
+    a ``memoryview`` of the samples and of each cache; the views stay valid
+    because ``_compact`` copies inside the arrays and never reallocates them.
+
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
     copies.
@@ -133,6 +137,12 @@ class StreamingProfile:
         self._df = np.empty(size)    # recurrence terms, see covariance_step
         self._dg = np.empty(size)
         self._t1 = np.empty(capacity)  # scratch: avoids per-append allocation
+        self._bufv, self._covv, self._isigv, self._dfv, self._dgv = map(
+            memoryview, (self._buf, self._cov, self._isig, self._df, self._dg))
+        # Appends between recomputations of the running sum and covariances
+        # from the samples (a batch sweep's stream never fills): short-lag
+        # covariances never leave the window, so their rounding would persist.
+        self._resync = min(capacity, 8192)
         self._start = 0          # buffer index of the oldest retained sample
         self._end = 0            # one past the newest sample
         self._offset = 0         # absolute stream position of buf[0]
@@ -202,37 +212,40 @@ class StreamingProfile:
         x = float(sample)
         if not math.isfinite(x):
             raise ValueError("sample must be finite")
-        if self.count == 0:
+        start, end = self._start, self._end
+        if self._offset + end == 0:
             self._ref = x
         x -= self._ref
         m, cap = self.m, self.capacity
-        buf = self._buf
-        if self._end == buf.size:
+        buf, bufv = self._buf, self._bufv
+        if end == buf.size:
             self._compact()
+            start, end = self._start, self._end
 
-        if self._end > self._start and x == buf[self._end - 1]:
+        if end > start and x == bufv[end - 1]:
             self._equal_run += 1
         else:
             self._equal_run = 1
-        buf[self._end] = x
-        self._end += 1
-        if self._end - self._start > cap:
-            self._start += 1
+        bufv[end] = x
+        end += 1
+        self._end = end
+        if end - start > cap:
+            start += 1
+            self._start = start
 
-        count = self._offset + self._end
+        count = self._offset + end
         if count < m:
             return None
 
-        start, end = self._start, self._end
         l = end - m  # buffer index of the newest subsequence
         hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
         h = max(start, hi - HOT_CANDIDATES)  # the hot ones are [h, hi)
         lo = start if self._exact else h  # current: [lo, l + 1)
-        cov = self._cov
+        cov, covv = self._cov, self._covv
         if count == m:
             df_l = dg_l = 0.0
         else:
-            old = float(buf[l - 1])
+            old = bufv[l - 1]
             mu_prev = self._s1 / m
             y = (x - old) - self._c1  # Kahan-compensated running sum
             s1 = self._s1 + y
@@ -240,19 +253,15 @@ class StreamingProfile:
             self._s1 = s1
             df_l = 0.5 * (x - old)
             dg_l = (x - s1 / m) + (old - mu_prev)
-        self._df[l] = df_l
-        self._dg[l] = dg_l
+        self._dfv[l] = df_l
+        self._dgv[l] = dg_l
 
         # A step after a settled one first tries two bounds that need no
         # work over the hot candidates.  (After an exact one the successor
         # almost never settles: 7 of 2137 such steps on the default channel
         # at seed 1.)
         tiers = settles is not None and self._lag is not None
-        # The running sum and the covariances are recomputed from the
-        # samples every min(capacity, 8192) appends (a batch sweep's stream
-        # never fills): short-lag covariances never leave the window, so
-        # their recurrence rounding would otherwise persist.
-        if count == m or count % min(cap, 8192) == 0:
+        if count == m or count % self._resync == 0:
             self._s1 = float(np.sum(buf[l:end]))
             self._c1 = 0.0
             self._correlate(lo, l + 1)
@@ -265,23 +274,23 @@ class StreamingProfile:
             covariance_step(cov[a - 1:l], self._df[a:l + 1], self._dg[a:l + 1],
                             df_l, dg_l, cov[a:l + 1], self._t1[:l + 1 - a])
             if not lo:
-                cov[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
+                covv[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
         else:
             # Only lag 0 is current: carry it alone, in covariance_step's
             # operation order.
-            cov[l] = (dg_l * df_l + float(cov[l - 1])) + df_l * dg_l
+            covv[l] = (dg_l * df_l + covv[l - 1]) + df_l * dg_l
         # The variance is the recurrence's own diagonal.
-        var = float(cov[l]) / m
+        var = covv[l] / m
         isig = 0.0 if var <= 0.0 or self._equal_run >= m else 1.0 / math.sqrt(var)
-        self._isig[l] = isig
+        self._isigv[l] = isig
 
         if tiers:
             pos = self._offset + l
             # The last neighbor was hot, and so is its successor at the same
             # lag: one scalar step of the recurrence gives its covariance.
             k = l - self._lag
-            c = (float(self._dg[k]) * df_l + self._c) + float(self._df[k]) * dg_l
-            isig_k = float(self._isig[k])
+            c = (self._dgv[k] * df_l + self._c) + self._dfv[k] * dg_l
+            isig_k = self._isigv[k]
             value = match_distance(buf, m, l, k, float(isig_k == 0.0) if isig == 0.0
                                    else c * isig_k, isig)
             if settles(pos, value):
@@ -301,12 +310,12 @@ class StreamingProfile:
                 score = self._isig[h:].take(self._probe[:, 0])
                 correlation_scores(c, isig, score, score)
                 j = int(score.argmax())
-                k = h + int(self._probe[j, 0])
-                value = match_distance(buf, m, l, k, float(score[j]), isig)
+                k = h + self._probe.item(j, 0)
+                value = match_distance(buf, m, l, k, score.item(j), isig)
                 if settles(pos, value):
                     self.settled_steps += 1
                     self.probe_steps += 1
-                    self._lag, self._c = l - k, float(c[j])
+                    self._lag, self._c = l - k, c.item(j)
                     return value, None
         if not self._hot:  # stale: rebuild the hot covariances from the samples
             self._correlate(h, l)
@@ -318,14 +327,14 @@ class StreamingProfile:
         # Score the current candidates [lo, hi); search the hot ones first.
         score = correlation_scores(cov[lo:hi], isig, self._isig[lo:hi], self._t1[:hi - lo])
         i = h + int(score[h - lo:].argmax())
-        best, value = score[i - lo], None  # value: candidate i's distance, once known
+        best, value = score.item(i - lo), None  # value: candidate i's distance, once known
         if settles is not None and h > start:
             value = match_distance(buf, m, l, i, best, isig)
             if settles(self._offset + l, value):
                 self.settled_steps += 1
                 self.search_steps += 1
                 self._exact = False
-                self._lag, self._c = l - i, float(cov[i])
+                self._lag, self._c = l - i, covv[i]
                 self._ranked = score[h - lo:].copy()
                 return value, None
         if lo > start:  # the last append settled: rebuild the stale covariances
@@ -335,8 +344,8 @@ class StreamingProfile:
                                        self._t1[:lo - start])
         if h > start:  # the older candidates, which win ties as in one argmax
             j = int(score[:h - start].argmax())
-            if score[j] >= best:
-                i, best, value = start + j, score[j], None
+            if score.item(j) >= best:
+                i, best, value = start + j, score.item(j), None
         # match_distance re-evaluates near duplicates: values reproduce to 1e-9.
         if value is None:
             value = match_distance(buf, m, l, i, best, isig)
@@ -400,7 +409,7 @@ class StreamingProfile:
         """
         m = self.m
         replay = StreamingProfile(m, self.capacity, self.exclusion_radius)
-        out = [replay.append(x) for x in self._buf[self._start:self._end]][m - 1:]
+        out = [replay.append(x) for x in self._buf[self._start:self._end].tolist()][m - 1:]
         distances = np.array([np.inf if r is None else r[0] for r in out])
         indices = np.array([SENTINEL_INDEX if r is None else r[1] for r in out],
                            dtype=np.int64)

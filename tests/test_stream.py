@@ -417,6 +417,47 @@ class TestHotMode:
         assert sp.settled_steps + sp.exact_steps == len(x) - m - r
         assert quiet > len(x) // 2
 
+    def test_a_step_settled_by_the_successor_indexes_no_array(self, monkeypatch):
+        # A step that the successor settles after a tier reads and writes its
+        # single elements through memoryviews, never by an integer index into
+        # a numpy array, which boxes a numpy scalar.  Views of the arrays
+        # that count such indexing change no result: every step returns what
+        # an untouched twin stream returns.
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 16)
+        hits = []
+
+        class Counting(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, (int, np.integer)):
+                    hits.append(key)
+                return super().__getitem__(key)
+
+            def __setitem__(self, key, value):
+                if isinstance(key, (int, np.integer)):
+                    hits.append(key)
+                super().__setitem__(key, value)
+
+        m, r, cap = 8, 2, 64
+        x = np.sin(2 * np.pi * np.arange(900) / 10) + rng(4).normal(0, 0.1, 900)
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        twin = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        for name in ("_buf", "_cov", "_isig", "_df", "_dg"):
+            setattr(sp, name, getattr(sp, name).view(Counting))
+        stale, quiet = False, 0  # the hot covariances are stale after a tier
+        for v in x.tolist():
+            want = twin.append(v, lambda pos, bound: True)
+            n, successor = len(hits), sp.successor_steps
+            tiers = sp.successor_steps + sp.probe_steps
+            assert sp.append(v, lambda pos, bound: True) == want
+            if stale and sp.successor_steps > successor:
+                assert len(hits) == n
+                quiet += 1
+            stale = sp.successor_steps + sp.probe_steps > tiers
+        assert quiet > len(x) // 2
+        n = len(hits)  # the views count, and share the arrays' memory:
+        assert sp._isig[sp._end - m] == twin._isig[twin._end - m]
+        assert len(hits) == n + 1
+
     @pytest.mark.parametrize("hot, probe", [(4, None), (32, None), (32, 8)])
     def test_every_bound_is_a_hot_distance(self, monkeypatch, hot, probe):
         # A settles that accepts only the hot best lets the successor settle
