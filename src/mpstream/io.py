@@ -18,12 +18,26 @@ digits so outputs are byte-reproducible):
 Every reader accepts its writer's output and reports malformed rows by file
 line number.  Only this module opens a pipeline file, and every failure to
 read or write one raises :class:`DataError`.
+
+Writers format each row as one line, floats read through memoryviews, and
+write the lines a block at a time; a text field is quoted as ``csv.writer``
+quotes it.  ``read_dataset`` parses blocks of about 256 KiB of lines column
+by column: one ``np.array(..., dtype=np.float64)``, which accepts exactly
+the strings ``float`` does, per number column.  The first block that may
+hold a quote, CR or NUL, a row without three fields, a line longer than
+``csv.field_size_limit()`` or a bad number is read, with every line after
+it, row by row through ``csv.reader``, as every other file is; that path
+alone names a failing line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
+import re
+from itertools import chain, islice
 
 import numpy as np
 
@@ -53,91 +67,168 @@ PROFILE_HEADER = ["t_s", "f_c_hz", "label", "profile_value"]
 REPORT_HEADER = ["fault", "accuracy", "precision", "recall", "f_score"]
 BATCH_PROFILE_HEADER = ["position", "distance", "index"]
 
+_READ_BLOCK = 1 << 18  # characters of whole lines per dataset read block
+_WRITE_BLOCK = 4096    # lines joined per write
+# A field without these characters is written as it is.
+_QUOTABLE = re.compile('[,"\r\n\0]')
+
 
 class DataError(Exception):
     """Malformed or inconsistent data file."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
-def _fmt_column(values):
+def _floats(values) -> memoryview:
     # A memoryview yields Python floats one at a time, without a list of them.
-    return map("{:.9g}".format, memoryview(np.asarray(values, dtype=np.float64)))
+    return memoryview(np.asarray(values, dtype=np.float64))
 
 
-def _write(path, header, rows) -> None:
-    """Write ``header``, then ``rows``, as the CSV at ``path``."""
+def _text(field: str) -> str:
+    """``field`` as ``csv.writer`` writes it.  A field that can come out
+    changed goes through ``csv.writer`` itself, so each Python version's
+    quoting rule holds."""
+    if not _QUOTABLE.search(field):
+        return field
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([field])
+    return buf.getvalue()[:-1]
+
+
+def _write(path, header, lines) -> None:
+    """Write ``header``, then ``lines`` (formatted rows, each ending in a
+    newline), as the CSV at ``path``."""
+    lines = iter(lines)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+            fh.write(",".join(header) + "\n")
+            while block := "".join(islice(lines, _WRITE_BLOCK)):
+                fh.write(block)
     except OSError as exc:
         raise DataError(f"cannot write output: {exc}") from exc
 
 
-def _rows(path, header):
-    """Yield ``(line number, fields)`` for each data row of a CSV that must
-    open with ``header`` and give every row as many fields."""
+@contextlib.contextmanager
+def _reading(path):
+    """The text file at ``path``, open for reading; a failure to open or
+    decode it raises :class:`DataError`."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot read input: {exc}") from exc
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def _records(path, header, lines, first_line=1):
+    """Yield ``(line number, fields)`` for each data row in ``lines``, the
+    lines of the CSV at ``path`` from line ``first_line`` on.  From line 1
+    the CSV must open with ``header``; every row must give as many fields."""
+    reader = csv.reader(lines)
+    try:
+        lineno = first_line
+        if lineno == 1:
             first = next(reader, None)
             if first is None:
                 raise DataError(f"{path}: empty file")
             if first != header:
                 raise DataError(f"{path}: line 1: expected header {','.join(header)}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(f"{path}: line {lineno}: "
-                                    f"expected {len(header)} fields, got {len(row)}")
-                yield lineno, row
-    except OSError as exc:
-        raise DataError(f"cannot read input: {exc}") from exc
+            lineno = 2
+        for lineno, row in enumerate(reader, start=lineno):
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {lineno}: "
+                                f"expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
     except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
+        raise DataError(f"{path}: line {first_line - 1 + reader.line_num}: {exc}") from None
+
+
+def _rows(path, header):
+    """Yield ``(line number, fields)`` for each data row of the CSV at
+    ``path``."""
+    with _reading(path) as fh:
+        yield from _records(path, header, fh)
 
 
 def _sample_labels(dataset: LabeledDataset) -> list[str]:
     labels = [""] * len(dataset.channel)
     for seg in dataset.truth:
-        for i in range(seg.start, seg.end):
-            labels[i] = seg.label or ""
+        labels[seg.start:seg.end] = [_text(seg.label or "")] * (seg.end - seg.start)
     return labels
 
 
 def write_dataset(path, dataset: LabeledDataset) -> None:
     channel = dataset.channel
     _write(path, DATASET_HEADER,
-           zip(_fmt_column(channel.times_s), _fmt_column(channel.samples),
-               _sample_labels(dataset)))
+           map("%.9g,%.9g,%s\n".__mod__,
+               zip(_floats(channel.times_s), _floats(channel.samples),
+                   _sample_labels(dataset))))
+
+
+def _columns(lines):
+    """``(times, values, labels)`` of ``lines``, a block of dataset rows, or
+    None where the block needs the row-wise reader."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    # Every line, the file's last one too, ends in the third of its three
+    # field ends: two commas, then a newline.  No line is longer in UTF-8
+    # bytes than a csv field may be in characters.
+    b = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    line_ends = ends[2::3]
+    if (ends.size != 3 * len(lines) or (b[line_ends] != ord("\n")).any()
+            or np.diff(line_ends, prepend=-1).max() > csv.field_size_limit()):
+        return None
+    fields = text[:-1].replace("\n", ",").split(",")
+    try:
+        times = np.array(fields[0::3], dtype=np.float64)
+        values = np.array(fields[1::3], dtype=np.float64)
+    except ValueError:
+        return None
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        return None
+    return times, values, fields[2::3]
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Returns (times_s, values, labels); every number must be finite, and
     there must be at least one sample."""
     times, values, labels = [], [], []
-    for lineno, (t, x, label) in _rows(path, DATASET_HEADER):
+    with _reading(path) as fh:
+        lines, lineno = fh.readlines(1), 1  # the header line, if any
         try:
-            times.append(float(t))
-            values.append(float(x))
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: malformed number") from None
-        if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
-            raise DataError(f"{path}: line {lineno}: non-finite number")
-        labels.append(label)
-    if not values:
+            if lines == [",".join(DATASET_HEADER) + "\n"]:
+                lineno = 2
+                while (lines := fh.readlines(_READ_BLOCK)) and (block := _columns(lines)):
+                    times.append(block[0])
+                    values.append(block[1])
+                    labels += block[2]
+                    lineno += len(lines)
+        except UnicodeDecodeError:
+            # A block decodes further ahead than a row: read the file again,
+            # row by row, so that a bad row before the bad bytes is named.
+            fh.seek(0)
+            times, values, labels, lines, lineno = [], [], [], [], 1
+        row_t, row_x = [], []
+        for lineno, (t, x, label) in _records(path, DATASET_HEADER, chain(lines, fh), lineno):
+            try:
+                row_t.append(float(t))
+                row_x.append(float(x))
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: malformed number") from None
+            if not (math.isfinite(row_t[-1]) and math.isfinite(row_x[-1])):
+                raise DataError(f"{path}: line {lineno}: non-finite number")
+            labels.append(label)
+    if not labels:
         raise DataError(f"{path}: no samples")
-    return np.asarray(times), np.asarray(values), labels
+    times.append(np.array(row_t, dtype=np.float64))
+    values.append(np.array(row_x, dtype=np.float64))
+    return np.concatenate(times), np.concatenate(values), labels
 
 
 def write_truth(path, truth) -> None:
     _write(path, TRUTH_HEADER,
-           ([seg.start, seg.end, seg.label or ""] for seg in truth))
+           ("%d,%d,%s\n" % (seg.start, seg.end, _text(seg.label or "")) for seg in truth))
 
 
 def read_truth(path) -> list[AnomalySegment]:
@@ -158,7 +249,8 @@ def read_truth(path) -> list[AnomalySegment]:
 
 def write_events(path, events) -> None:
     _write(path, EVENTS_HEADER,
-           ([ev.kind.value, ev.position, _fmt(ev.profile_value)] for ev in events))
+           ("%s,%d,%.9g\n" % (_text(ev.kind.value), ev.position, ev.profile_value)
+            for ev in events))
 
 
 def read_events(path) -> list[DetectionEvent]:
@@ -177,24 +269,26 @@ def read_events(path) -> list[DetectionEvent]:
 
 def write_profile_trace(path, times, values, labels, profile_values) -> None:
     """Per-sample tidy trace; ``profile_values`` entries may be None."""
+    text = {lab: _text(lab) for lab in set(labels)}
     _write(path, PROFILE_HEADER,
-           ((t, x, lab, "" if pv is None else _fmt(pv))
-            for t, x, lab, pv in zip(_fmt_column(times), _fmt_column(values),
-                                     labels, profile_values)))
+           ("%.9g,%.9g,%s,\n" % (t, x, text[lab]) if pv is None
+            else "%.9g,%.9g,%s,%.9g\n" % (t, x, text[lab], pv)
+            for t, x, lab, pv in zip(_floats(times), _floats(values), labels, profile_values)))
 
 
 def write_profile(path, mp: MatrixProfile) -> None:
     """Batch profile, one row per subsequence position."""
+    indices = memoryview(np.asarray(mp.indices, dtype=np.int64))
     _write(path, BATCH_PROFILE_HEADER,
-           ([i, "", ""] if j == SENTINEL_INDEX else [i, _fmt(d), j]
-            for i, (d, j) in enumerate(zip(mp.distances, mp.indices))))
+           ("%d,,\n" % i if j == SENTINEL_INDEX else "%d,%.9g,%d\n" % (i, d, j)
+            for i, (d, j) in enumerate(zip(_floats(mp.distances), indices))))
 
 
 def write_report(path, rows: list[tuple[str, Metrics]]) -> None:
     _write(path, REPORT_HEADER,
-           ([name] + ["" if v is None else _fmt(v)
-                      for v in (m.accuracy, m.precision, m.recall, m.f_score)]
-            for name, m in rows))
+           (",".join([_text(name)] + ["" if v is None else "%.9g" % v
+                                       for v in (m.accuracy, m.precision, m.recall, m.f_score)])
+            + "\n" for name, m in rows))
 
 
 def read_report(path) -> list[tuple[str, Metrics]]:

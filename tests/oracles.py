@@ -4,6 +4,8 @@ Everything here is deliberately slow and literal: plain Python loops over
 the definitions, no shared code with the library paths under test.
 """
 
+import csv
+import io
 import math
 
 
@@ -196,3 +198,14 @@ def naive_point_confusion(pred, truth, n):
     pairs = list(zip(mask(pred), mask(truth)))
     return (pairs.count((True, True)), pairs.count((True, False)),
             pairs.count((False, True)), pairs.count((False, False)))
+
+
+def csv_writer_text(header, rows):
+    """The text ``csv.writer`` writes for ``header`` and ``rows`` of string
+    fields, with LF line ends: what every CSV writer of the pipeline must
+    produce."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
