@@ -83,7 +83,7 @@ class DetectorConfig:
     Every step searches the stream's most recent candidates
     (:data:`mpstream.stream.HOT_CANDIDATES`) first.  Once detection begins,
     a step ends as soon as a bound settles the chain (see
-    :meth:`FilterChain.settles`): after a settled step, first the distance
+    :meth:`FilterChain.settle`): after a settled step, first the distance
     to the last neighbor's successor, then the best of a few hot lags
     (:data:`mpstream.stream.PROBE_LAGS`), then the best of the most recent
     candidates.  Events and thresholds stay exact.
@@ -153,12 +153,10 @@ class FilterChain:
         """Feed the profile value of the subsequence starting at
         ``position``; returns the event it completes, if any.  After an
         end, starts are held off for ``cooldown`` positions."""
-        if self.in_anomaly:
-            qualifies = value < self.exit_level
-        else:
-            # During cooldown above-threshold values do not accumulate.
-            qualifies = value > self.enter_level and position >= self._cooldown_until
-        if not qualifies:
+        if self.settle(position, value):
+            return []
+        # Not settled: outside an event, the cooldown is over.
+        if not (value < self.exit_level if self.in_anomaly else value > self.enter_level):
             self._run = 0
             return []
         if self._run == 0:
@@ -175,13 +173,22 @@ class FilterChain:
             self._cooldown_until = position + self.cooldown
         return [DetectionEvent(kind, self._run_start, float(value))]
 
-    def settles(self, position: int, bound: float) -> bool:
+    def settle(self, position: int, bound: float) -> bool:
         """True when every value <= ``bound`` gives the same :meth:`push`
-        outcome at ``position`` and emits no event, so that an upper bound
-        on the value may be pushed in its place."""
+        outcome at ``position`` and emits no event; the chain then takes
+        that outcome, so an upper bound on the value is pushed by this call
+        alone.  False leaves the chain as it was."""
         if self.in_anomaly:
-            return bound < self.exit_level and self._run + 1 < self.min_event_len
-        return bound <= self.enter_level or position < self._cooldown_until
+            if not (bound < self.exit_level and self._run + 1 < self.min_event_len):
+                return False
+            if self._run == 0:
+                self._run_start = position
+            self._run += 1
+        elif bound <= self.enter_level or position < self._cooldown_until:
+            self._run = 0
+        else:
+            return False
+        return True
 
 
 class AnomalyDetector:
@@ -193,7 +200,9 @@ class AnomalyDetector:
     ``last_neighbor`` the absolute position of the subsequence it is the
     distance to.  Both are None while the underlying stream is warming up
     and on steps that a bound settled (see :class:`DetectorConfig`); every
-    value reported is exact.
+    value reported is exact.  Once armed, warm and with a chain, a step
+    that a bound settles makes one call into the chain: its settle takes
+    the bound in, and push sees only exact values.
 
     Single-writer like the stream it wraps; independent detectors on
     distinct channels share no state and may run concurrently.
@@ -211,41 +220,44 @@ class AnomalyDetector:
         self._calibration: list[float] = []
         self._chain: FilterChain | None = (
             None if self.threshold is None else FilterChain(self.threshold, self.config))
+        self._append = self._settle = None  # bound once armed: warm, with a chain
 
     def step(self, sample: float) -> list[DetectionEvent]:
         """Ingest one sample and return any events it produced."""
-        sample_index = self.stream.count
-        warm = sample_index >= self.config.warmup
-        armed = warm and self._chain is not None
-        result = self.stream.append(sample, self._chain.settles if armed else None)
-        if result is None:
+        if self._settle is None:
+            if self.stream.count < self.config.warmup or self._chain is None:
+                return self._step_unarmed(sample)
+            self._append, self._settle = self.stream.append, self._chain.settle
+        # A settled step has been pushed by the chain's settle already.
+        result = self._append(sample, self._settle)
+        if result is None or result[1] is None:
             self.last_profile = self.last_neighbor = None
             return []
-        value, self.last_neighbor = result
-        self.last_profile = None if self.last_neighbor is None else value
+        self.last_profile, self.last_neighbor = result
+        return self._chain.push(self.stream.count - self.m, result[0])
 
-        if not warm:
+    def _step_unarmed(self, sample: float) -> list[DetectionEvent]:
+        sample_index = self.stream.count
+        result = self.stream.append(sample)
+        self.last_profile, self.last_neighbor = result or (None, None)
+        if result is None or sample_index < self.config.warmup:
             return []
-
-        if self.threshold is None:
-            # No fixed threshold: consume post-warmup values as calibration
-            # until enough are collected, then detect from the next value on.
-            self._calibration.append(value)
-            if len(self._calibration) >= self.config.calibration_len:
-                threshold = calibrate_threshold(self._calibration,
-                                                self.config.quantile_q)
-                if not threshold > 0.0:
-                    # A chain at threshold 0 opens an event it cannot close.
-                    raise ValueError(
-                        f"calibrated threshold is {threshold:g}: the calibration "
-                        f"stretch ending at sample {sample_index} is flat; set "
-                        "threshold_value, or move warmup or calibration_len "
-                        "past the flat stretch")
-                self.threshold = threshold
-                self._chain = FilterChain(self.threshold, self.config)
-                self._calibration = []
-            return []
-        return self._chain.push(sample_index - self.m + 1, value)
+        # Warm without a chain: consume values as calibration until enough
+        # are collected, then detect from the next value on.
+        self._calibration.append(result[0])
+        if len(self._calibration) >= self.config.calibration_len:
+            threshold = calibrate_threshold(self._calibration, self.config.quantile_q)
+            if not threshold > 0.0:
+                # A chain at threshold 0 opens an event it cannot close.
+                raise ValueError(
+                    f"calibrated threshold is {threshold:g}: the calibration "
+                    f"stretch ending at sample {sample_index} is flat; set "
+                    "threshold_value, or move warmup or calibration_len "
+                    "past the flat stretch")
+            self.threshold = threshold
+            self._chain = FilterChain(self.threshold, self.config)
+            self._calibration = []
+        return []
 
     def process(self, samples) -> list[DetectionEvent]:
         """Run a whole sample sequence through :meth:`step`."""

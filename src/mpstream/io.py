@@ -85,12 +85,13 @@ def _floats(values) -> memoryview:
 def _text(field: str) -> str:
     """``field`` as ``csv.writer`` writes it.  A field that can come out
     changed goes through ``csv.writer`` itself, so each Python version's
-    quoting rule holds."""
+    quoting rule holds.  A CRLF terminator makes it quote a CR as well,
+    where a CSV reader would end the row; with LF alone it may not."""
     if not _QUOTABLE.search(field):
         return field
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([field])
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow([field])
+    return buf.getvalue()[:-2]
 
 
 def _write(path, header, lines) -> None:

@@ -17,7 +17,7 @@ a distance to a subsequence that is gone; it costs about as much as
 appending the window again.
 
 Every append searches the most recent candidates first; given a
-``settles`` predicate, it stops there when their best distance settles it,
+``settles`` callable, it stops there when their best distance settles it,
 after DAMP (Lu et al., "Matrix Profile XXIV", KDD 2022).  An append after a
 settled one tries the last neighbor's successor before that, after SCRIMP++
 (Zhu et al., ICDM 2018), and, when it must, the best lags of the last search.
@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from mpstream.core import (
+    REFINE_RHO,
     SENTINEL_INDEX,
     MatrixProfile,
     _validate_radius,
@@ -143,6 +144,9 @@ class StreamingProfile:
         # from the samples (a batch sweep's stream never fills): short-lag
         # covariances never leave the window, so their rounding would persist.
         self._resync = min(capacity, 8192)
+        # match_distance's constants, for the successor's inline distance.
+        self._two_m, self._four_m = 2.0 * m, 4.0 * m
+        self._refine = (1.0 - REFINE_RHO) * self._two_m
         self._start = 0          # buffer index of the oldest retained sample
         self._end = 0            # one past the newest sample
         self._offset = 0         # absolute stream position of buf[0]
@@ -156,7 +160,6 @@ class StreamingProfile:
         self._c = 0.0            # lag, and its covariance with the newest subsequence
         self._ranked = None      # the hot scores of the last search that settled
         self._probe = None       # their best windows, by row: offsets from the hot range's start
-        self.settled_steps = 0
         self.successor_steps = 0
         self.probe_steps = 0
         self.search_steps = 0
@@ -168,6 +171,11 @@ class StreamingProfile:
     def count(self) -> int:
         """Total samples ever ingested."""
         return self._offset + self._end
+
+    @property
+    def settled_steps(self) -> int:
+        """Appends given a ``settles`` that returned a bound."""
+        return self.successor_steps + self.probe_steps + self.search_steps
 
     @property
     def n_retained(self) -> int:
@@ -207,7 +215,9 @@ class StreamingProfile:
         caller needs; it must accept every bound below one it accepts.  A
         step whose hot best it accepts returns ``(bound, None)``, with the
         first bound it accepted: the successor's, the probe's or the hot
-        best.  Every other step returns the exact value.
+        best.  Every other step returns the exact value.  It may take in a
+        bound as it accepts it (:meth:`~mpstream.detect.FilterChain.settle`
+        pushes it): append returns right after it accepts one.
         """
         x = float(sample)
         if not math.isfinite(x):
@@ -238,9 +248,6 @@ class StreamingProfile:
             return None
 
         l = end - m  # buffer index of the newest subsequence
-        hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
-        h = max(start, hi - HOT_CANDIDATES)  # the hot ones are [h, hi)
-        lo = start if self._exact else h  # current: [lo, l + 1)
         cov, covv = self._cov, self._covv
         if count == m:
             df_l = dg_l = 0.0
@@ -261,24 +268,27 @@ class StreamingProfile:
         # almost never settles: 7 of 2137 such steps on the default channel
         # at seed 1.)
         tiers = settles is not None and self._lag is not None
-        if count == m or count % self._resync == 0:
-            self._s1 = float(np.sum(buf[l:end]))
-            self._c1 = 0.0
-            self._correlate(lo, l + 1)
-            self._hot, tiers = True, False
-        elif self._hot:
-            # Once the window has slid, the oldest candidate's predecessor
-            # is still at buffer index start - 1 (_compact keeps it), so the
-            # recurrence covers it too; before that it is computed directly.
-            a = lo or 1
-            covariance_step(cov[a - 1:l], self._df[a:l + 1], self._dg[a:l + 1],
-                            df_l, dg_l, cov[a:l + 1], self._t1[:l + 1 - a])
-            if not lo:
-                covv[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
-        else:
+        if not self._hot and count % self._resync:
             # Only lag 0 is current: carry it alone, in covariance_step's
             # operation order.
             covv[l] = (dg_l * df_l + covv[l - 1]) + df_l * dg_l
+        else:
+            # The current covariances: [lo, l + 1).
+            lo = start if self._exact else max(start, l - self.exclusion_radius - HOT_CANDIDATES)
+            if count == m or count % self._resync == 0:
+                self._s1 = float(np.sum(buf[l:end]))
+                self._c1 = 0.0
+                self._correlate(lo, l + 1)
+                self._hot, tiers = True, False
+            else:
+                # Once the window has slid, the oldest candidate's predecessor
+                # is still at buffer index start - 1 (_compact keeps it), so the
+                # recurrence covers it too; before that it is computed directly.
+                a = lo or 1
+                covariance_step(cov[a - 1:l], self._df[a:l + 1], self._dg[a:l + 1],
+                                df_l, dg_l, cov[a:l + 1], self._t1[:l + 1 - a])
+                if not lo:
+                    covv[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
         # The variance is the recurrence's own diagonal.
         var = covv[l] / m
         isig = 0.0 if var <= 0.0 or self._equal_run >= m else 1.0 / math.sqrt(var)
@@ -291,32 +301,38 @@ class StreamingProfile:
             k = l - self._lag
             c = (self._dgv[k] * df_l + self._c) + self._dfv[k] * dg_l
             isig_k = self._isigv[k]
-            value = match_distance(buf, m, l, k, float(isig_k == 0.0) if isig == 0.0
-                                   else c * isig_k, isig)
+            # match_distance inline, in its operation order, unless it refines.
+            d2 = self._two_m * (1.0 - c * isig_k * isig / m) if isig else 0.0
+            if d2 > self._refine:
+                value = math.sqrt(min(d2, self._four_m))
+            else:
+                value = match_distance(buf, m, l, k, float(isig_k == 0.0) if isig == 0.0
+                                       else c * isig_k, isig)
             if settles(pos, value):
                 if self._hot:  # they go stale: keep the last search's best lags
                     p = min(PROBE_LAGS, self._ranked.size)
                     best = np.argpartition(self._ranked, -p)[-p:]
                     self._probe = best[:, None] + np.arange(m)
-                self.settled_steps += 1
+                    self._hot = False
                 self.successor_steps += 1
-                self._hot = False
                 self._c = c
                 return value, None
-            if not self._hot:
-                # Score the probe's lags straight from the samples; the hot
-                # lags are the same at every step that has older candidates.
-                c = buf[h:].take(self._probe) @ (buf[l:end] - self._s1 / m)
-                score = self._isig[h:].take(self._probe[:, 0])
-                correlation_scores(c, isig, score, score)
-                j = int(score.argmax())
-                k = h + self._probe.item(j, 0)
-                value = match_distance(buf, m, l, k, score.item(j), isig)
-                if settles(pos, value):
-                    self.settled_steps += 1
-                    self.probe_steps += 1
-                    self._lag, self._c = l - k, c.item(j)
-                    return value, None
+        hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
+        h = max(start, hi - HOT_CANDIDATES)  # the hot ones are [h, hi)
+        lo = start if self._exact else h  # current: [lo, l + 1)
+        if tiers and not self._hot:
+            # Score the probe's lags straight from the samples; the hot
+            # lags are the same at every step that has older candidates.
+            c = buf[h:].take(self._probe) @ (buf[l:end] - self._s1 / m)
+            score = self._isig[h:].take(self._probe[:, 0])
+            correlation_scores(c, isig, score, score)
+            j = int(score.argmax())
+            k = h + self._probe.item(j, 0)
+            value = match_distance(buf, m, l, k, score.item(j), isig)
+            if settles(pos, value):
+                self.probe_steps += 1
+                self._lag, self._c = l - k, c.item(j)
+                return value, None
         if not self._hot:  # stale: rebuild the hot covariances from the samples
             self._correlate(h, l)
             self.hot_rebuilds += 1
@@ -331,7 +347,6 @@ class StreamingProfile:
         if settles is not None and h > start:
             value = match_distance(buf, m, l, i, best, isig)
             if settles(self._offset + l, value):
-                self.settled_steps += 1
                 self.search_steps += 1
                 self._exact = False
                 self._lag, self._c = l - i, covv[i]

@@ -200,12 +200,22 @@ def naive_point_confusion(pred, truth, n):
             pairs.count((False, True)), pairs.count((False, False)))
 
 
+def chain_settles(chain, position, bound):
+    """Whether every value <= ``bound`` gives ``chain``'s push at
+    ``position`` one outcome and no event: the rule written out on its own,
+    as a pure predicate."""
+    if chain.in_anomaly:
+        return bound < chain.exit_level and chain._run + 1 < chain.min_event_len
+    return bound <= chain.enter_level or position < chain._cooldown_until
+
+
 def csv_writer_text(header, rows):
     """The text ``csv.writer`` writes for ``header`` and ``rows`` of string
-    fields, with LF line ends: what every CSV writer of the pipeline must
-    produce."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    fields, quoted as for CRLF line ends, which quotes a CR, but with LF
+    line ends: what every CSV writer of the pipeline must produce."""
+    out = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out)

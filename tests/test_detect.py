@@ -19,8 +19,9 @@ from mpstream.detect import (
 from mpstream.generate import (FaultKind, FaultSpec, GeneratorConfig,
                                four_fault_dataset, generate_base, inject_fault)
 from mpstream.io import write_events
+from mpstream.stream import StreamingProfile
 
-from oracles import naive_left_profile
+from oracles import chain_settles, naive_left_profile
 
 rng = np.random.default_rng
 
@@ -414,6 +415,12 @@ def chain_state(chain):
     return (chain.in_anomaly, chain._run, chain._run_start, chain._cooldown_until)
 
 
+def settles(chain, position, bound):
+    """What ``chain.settle`` answers, asked of a copy: the chain is left as
+    it was."""
+    return copy.deepcopy(chain).settle(position, bound)
+
+
 class TestSettles:
     def test_a_settled_bound_pushes_like_any_value_below_it(self):
         r_ = rng(21)
@@ -422,7 +429,7 @@ class TestSettles:
             chain = random_chain(r_)
             position = int(r_.integers(100, 200))
             bound = float(r_.uniform(0.0, 8.0))
-            if not chain.settles(position, bound):
+            if not settles(chain, position, bound):
                 continue
             settled += 1
             via_bound = copy.deepcopy(chain)
@@ -435,17 +442,54 @@ class TestSettles:
 
     def test_unsettled_cases(self):
         chain = FilterChain(2.0, DetectorConfig(min_event_len=2, cooldown=10))
-        assert not chain.settles(0, 2.5)  # may start a run
+        assert not settles(chain, 0, 2.5)  # may start a run
         chain.push(0, 3.0)
         chain.push(1, 3.0)  # start fires
         assert chain.in_anomaly
-        assert not chain.settles(2, 1.9)   # may not qualify to end
-        assert chain.settles(2, 1.7)       # qualifies, run stays short
+        assert not settles(chain, 2, 1.9)   # may not qualify to end
+        assert settles(chain, 2, 1.7)       # qualifies, run stays short
         chain.push(2, 1.0)
-        assert not chain.settles(3, 1.7)   # would fire the end
+        assert not settles(chain, 3, 1.7)   # would fire the end
         chain.push(3, 1.0)
-        assert chain.settles(12, 100.0)    # cooldown until 3 + 10
-        assert not chain.settles(13, 2.5)
+        assert settles(chain, 12, 100.0)    # cooldown until 3 + 10
+        assert not settles(chain, 13, 2.5)
+
+    @pytest.mark.parametrize("min_event_len", [1, 2, 4])
+    def test_settle_is_the_predicate_and_push_in_one_call(self, min_event_len):
+        # Every chain state: outside an event with each run length, in
+        # cooldown, and inside an event with each run length; a grid of
+        # bounds around both levels.  settle answers what the rule it
+        # replaces answered and, when it settles, leaves the chain as push
+        # leaves it, without an event; otherwise it changes nothing.
+        cfg = DetectorConfig(enter_ratio=1.25, exit_ratio=0.75,
+                             min_event_len=min_event_len, cooldown=20)
+        chain = FilterChain(2.0, cfg)
+        levels = (chain.enter_level, chain.exit_level)
+        bounds = [0.0, 1.0, 2.0, 4.0, math.inf, math.nan]
+        bounds += [b for v in levels
+                   for b in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))]
+        states = [(inside, run, until)
+                  for inside in (False, True) for run in range(min_event_len)
+                  for until in (-1, 150, 200)]
+        answers = set()
+        for inside, run, until in states:
+            for position in (100, 149, 150, 199, 200):
+                for bound in bounds:
+                    chain.in_anomaly, chain._run = inside, run
+                    chain._run_start, chain._cooldown_until = 7, until
+                    before = chain_state(chain)
+                    want = chain_settles(chain, position, bound)
+                    via_push = copy.deepcopy(chain)
+                    pushed = via_push.push(position, bound)
+                    got = chain.settle(position, bound)
+                    answers.add(got)
+                    assert got is want, (before, position, bound)
+                    if got:
+                        assert pushed == []
+                        assert chain_state(chain) == chain_state(via_push)
+                    else:
+                        assert chain_state(chain) == before
+        assert answers == {False, True}
 
 
 def small_stream(seed):
@@ -472,6 +516,66 @@ def channel(name, key):
     gen = GeneratorConfig(duration_s=4.0, seed=1)
     return inject_fault(generate_base(gen), FaultSpec(FaultKind(key), 2.0, 0.05),
                         gen, seed=1).channel.samples
+
+
+class TestArmedStep:
+    @pytest.mark.parametrize("fixed", [True, False], ids=["fixed-warmup-0", "calibrated"])
+    def test_steps_match_a_reference_loop(self, fixed):
+        # Once warm with a chain, a step that a bound settles makes one call
+        # into the chain and skips push.  A fixed threshold with warmup 0 is
+        # armed from the first step, while append still returns None.  Two
+        # reference loops run alongside.  One pushes every exact value of a
+        # plain stream into its chain: each step's events must agree.  The
+        # other gives its stream the chain's rule as a pure predicate and
+        # pushes whatever it returns: the events, and every value and
+        # neighbor the detector reports (None on a settled step), must be
+        # bitwise its.
+        if fixed:
+            x, m, cap, r = small_stream(3)[0], 16, 2048, 4
+        else:
+            x, m, cap, r = channel("fault", "ll_fault"), 64, 2048, None
+        plain = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        exact = [plain.append(v) for v in x.tolist()]
+        if fixed:
+            values = [res[0] for res in exact if res is not None]
+            cfg = DetectorConfig(threshold_value=float(np.quantile(values, 0.995)), warmup=0)
+            chains = [FilterChain(cfg.threshold_value, cfg) for _ in range(2)]
+        else:
+            cfg, chains = DetectorConfig(), None
+        det = AnomalyDetector(m, cfg, capacity=cap, exclusion_radius=r)
+        bounded = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        calibration, settled, n_events = [], 0, 0
+        for i, (v, res) in enumerate(zip(x.tolist(), exact)):
+            got = det.step(v)
+            armed = chains is not None and i >= cfg.warmup
+            ref = bounded.append(v, (lambda p, b: chain_settles(chains[1], p, b)) if armed
+                                 else None)
+            assert (res is None) == (ref is None)
+            want = [[], []]
+            if res is not None and i >= cfg.warmup:
+                if armed:
+                    want = [chain.push(i - m + 1, out[0])
+                            for chain, out in zip(chains, (res, ref))]
+                else:
+                    calibration.append(res[0])
+                    if len(calibration) == cfg.calibration_len:
+                        q = float(np.quantile(calibration, cfg.quantile_q))
+                        chains = [FilterChain(q, cfg) for _ in range(2)]
+                        assert det.threshold == q
+            assert got == want[1], i
+            # The exact values come from covariances kept in another order.
+            assert [(e.kind, e.position) for e in got] == \
+                   [(e.kind, e.position) for e in want[0]], i
+            assert [e.profile_value for e in got] == \
+                   pytest.approx([e.profile_value for e in want[0]], abs=1e-9)
+            n_events += len(got)
+            if ref is None or ref[1] is None:
+                assert det.last_profile is det.last_neighbor is None, i
+                settled += ref is not None
+            else:
+                assert (det.last_profile, det.last_neighbor) == ref, i
+        assert det.stream.settled_steps == bounded.settled_steps == settled > len(x) // 2
+        assert n_events >= 2
 
 
 class TestHotModeDecisions:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import sys
@@ -277,14 +278,25 @@ class TestBlockReader:
         assert outcome(path) == expected
         assert rowwise_outcome(path, monkeypatch) == expected
 
-    @pytest.mark.parametrize("label", ['say "hi"', "a,b", "x\ny"])
+    @pytest.mark.parametrize("label", ['say "hi"', "a,b", "x\ny", "x\rz"])
     def test_label_with_csv_specials_survives(self, tmp_path, label):
+        # An unquoted CR, like an unquoted LF, ends the row for a CSV reader.
         ds = dataclasses.replace(small_dataset(), truth=[AnomalySegment(5, 7, label)])
         path = tmp_path / "data.csv"
         write_dataset(path, ds)
-        assert read_dataset(path)[2][4:8] == ["", label, label, ""]
+        times, values, labels = read_dataset(path)
+        assert labels[4:8] == ["", label, label, ""]
         write_truth(tmp_path / "truth.csv", ds.truth)
         assert read_truth(tmp_path / "truth.csv") == ds.truth
+        trace = tmp_path / "trace.csv"
+        profile = [None if i % 3 else i / 7 for i in range(len(times))]
+        write_profile_trace(trace, times, values, labels, profile)
+        with open(trace, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(mio.PROFILE_HEADER)
+        assert [row[2] for row in rows[1:]] == labels
+        assert [row[3] for row in rows[1:]] == ["" if v is None else "%.9g" % v
+                                                for v in profile]
 
     def test_crlf_copy_reads_the_same(self, tmp_path):
         lines = long_lines()
