@@ -23,11 +23,11 @@ Writers format each row as one line, floats read through memoryviews, and
 write the lines a block at a time; a text field is quoted as ``csv.writer``
 quotes it.  ``read_dataset`` parses blocks of about 256 KiB of lines column
 by column: one ``np.array(..., dtype=np.float64)``, which accepts exactly
-the strings ``float`` does, per number column.  The first block that may
-hold a quote, CR or NUL, a row without three fields, a line longer than
-``csv.field_size_limit()`` or a bad number is read, with every line after
-it, row by row through ``csv.reader``, as every other file is; that path
-alone names a failing line.
+the strings ``float`` does, per number column.  A file with a block that
+may hold a quote, CR or NUL, a row without three fields, a line longer than
+``csv.field_size_limit()``, a bad number or undecodable bytes is read again
+from line 1, row by row through ``csv.reader``, as every other file is;
+that path alone names a failing line.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import csv
 import io
 import math
 import re
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -120,34 +120,25 @@ def _reading(path):
         raise DataError(f"{path}: not UTF-8 text") from None
 
 
-def _records(path, header, lines, first_line=1):
-    """Yield ``(line number, fields)`` for each data row in ``lines``, the
-    lines of the CSV at ``path`` from line ``first_line`` on.  From line 1
-    the CSV must open with ``header``; every row must give as many fields."""
-    reader = csv.reader(lines)
-    try:
-        lineno = first_line
-        if lineno == 1:
+def _rows(path, header):
+    """Yield ``(line number, fields)`` for each data row of the CSV at
+    ``path``, which must open with ``header``; every row must give as many
+    fields."""
+    with _reading(path) as fh:
+        reader = csv.reader(fh)
+        try:
             first = next(reader, None)
             if first is None:
                 raise DataError(f"{path}: empty file")
             if first != header:
                 raise DataError(f"{path}: line 1: expected header {','.join(header)}")
-            lineno = 2
-        for lineno, row in enumerate(reader, start=lineno):
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {lineno}: "
-                                f"expected {len(header)} fields, got {len(row)}")
-            yield lineno, row
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {first_line - 1 + reader.line_num}: {exc}") from None
-
-
-def _rows(path, header):
-    """Yield ``(line number, fields)`` for each data row of the CSV at
-    ``path``."""
-    with _reading(path) as fh:
-        yield from _records(path, header, fh)
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise DataError(f"{path}: line {lineno}: "
+                                    f"expected {len(header)} fields, got {len(row)}")
+                yield lineno, row
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _sample_labels(dataset: LabeledDataset) -> list[str]:
@@ -196,22 +187,19 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     there must be at least one sample."""
     times, values, labels = [], [], []
     with _reading(path) as fh:
-        lines, lineno = fh.readlines(1), 1  # the header line, if any
         try:
-            if lines == [",".join(DATASET_HEADER) + "\n"]:
-                lineno = 2
-                while (lines := fh.readlines(_READ_BLOCK)) and (block := _columns(lines)):
+            block = fh.readlines(1) == [",".join(DATASET_HEADER) + "\n"]
+            while block and (lines := fh.readlines(_READ_BLOCK)):
+                if block := _columns(lines):
                     times.append(block[0])
                     values.append(block[1])
                     labels += block[2]
-                    lineno += len(lines)
-        except UnicodeDecodeError:
-            # A block decodes further ahead than a row: read the file again,
-            # row by row, so that a bad row before the bad bytes is named.
-            fh.seek(0)
-            times, values, labels, lines, lineno = [], [], [], [], 1
-        row_t, row_x = [], []
-        for lineno, (t, x, label) in _records(path, DATASET_HEADER, chain(lines, fh), lineno):
+        except UnicodeDecodeError:  # a block decodes further ahead than a row
+            block = None
+    if not block:
+        # Read the whole file again, row by row, to name the failing line.
+        row_t, row_x, labels = [], [], []
+        for lineno, (t, x, label) in _rows(path, DATASET_HEADER):
             try:
                 row_t.append(float(t))
                 row_x.append(float(x))
@@ -220,10 +208,9 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
             if not (math.isfinite(row_t[-1]) and math.isfinite(row_x[-1])):
                 raise DataError(f"{path}: line {lineno}: non-finite number")
             labels.append(label)
+        times, values = [np.array(row_t, dtype=np.float64)], [np.array(row_x, dtype=np.float64)]
     if not labels:
         raise DataError(f"{path}: no samples")
-    times.append(np.array(row_t, dtype=np.float64))
-    values.append(np.array(row_x, dtype=np.float64))
     return np.concatenate(times), np.concatenate(values), labels
 
 

@@ -94,16 +94,18 @@ class StreamingProfile:
     ``settles`` is monotone in the bound, so these tiers change which
     bound a settled append returns, never which appends settle.
 
-    What an append returns never depends on the covariances it keeps
-    current, only its cost does: an append after an exact one advances
-    every covariance; one after a settled one advances only the hot ones,
-    or, once a tier has settled, none but lag 0 until an append needs the
-    hot ones and rebuilds them from the samples.  An exact append after a
-    settled one first rebuilds the older ones.  Counters: ``settled_steps``
-    and ``exact_steps``, the appends given a ``settles`` that returned a
-    bound and an exact value; ``successor_steps``, ``probe_steps`` and
-    ``search_steps``, the settled ones by what settled them;
-    ``hot_rebuilds`` and ``rebuilds``.
+    The covariances of lags ``[0, _lags)`` are current; the recurrence keeps
+    each lag in place.  An exact append sets ``_lags`` to ``capacity``
+    (every lag), the hot search to ``1 + exclusion_radius + HOT_CANDIDATES``,
+    the successor or the probe to 1.  An append that needs candidates older
+    than ``lo = max(start, l + 1 - _lags)`` rebuilds ``[X, lo)`` from the
+    samples and sets the count from ``X``.  The count changes the cost, and
+    an exact value in its last bits (about 1e-13: rebuilt and carried
+    covariances round differently), but no event, threshold or 9-digit CSV.
+    Counters: ``settled_steps`` and ``exact_steps``, the appends given a
+    ``settles`` that returned a bound and an exact value;
+    ``successor_steps``, ``probe_steps`` and ``search_steps``, the settled
+    ones by what settled them; ``hot_rebuilds`` and ``rebuilds``.
 
     :meth:`append` reads and writes single elements as Python floats through
     a ``memoryview`` of the samples and of each cache; the views stay valid
@@ -154,8 +156,7 @@ class StreamingProfile:
         self._s1 = 0.0           # running sum over the newest m samples
         self._c1 = 0.0           # its Kahan compensation
         self._equal_run = 0      # trailing run of bitwise-identical samples
-        self._exact = True       # the last append was exact: all covariances current
-        self._hot = True         # the hot covariances are current
+        self._lags = capacity    # the covariances of lags [0, _lags) are current
         self._lag = None         # the last append's neighbor if it settled, as a
         self._c = 0.0            # lag, and its covariance with the newest subsequence
         self._ranked = None      # the hot scores of the last search that settled
@@ -268,27 +269,26 @@ class StreamingProfile:
         # almost never settles: 7 of 2137 such steps on the default channel
         # at seed 1.)
         tiers = settles is not None and self._lag is not None
-        if not self._hot and count % self._resync:
+        if self._lags == 1 and count % self._resync:
             # Only lag 0 is current: carry it alone, in covariance_step's
             # operation order.
             covv[l] = (dg_l * df_l + covv[l - 1]) + df_l * dg_l
+        elif count == m or count % self._resync == 0:
+            self._lags = max(self._lags, 1 + self.exclusion_radius + HOT_CANDIDATES)
+            self._s1 = float(np.sum(buf[l:end]))
+            self._c1 = 0.0
+            self._correlate(max(start, l + 1 - self._lags), l + 1)
+            tiers = False
         else:
-            # The current covariances: [lo, l + 1).
-            lo = start if self._exact else max(start, l - self.exclusion_radius - HOT_CANDIDATES)
-            if count == m or count % self._resync == 0:
-                self._s1 = float(np.sum(buf[l:end]))
-                self._c1 = 0.0
-                self._correlate(lo, l + 1)
-                self._hot, tiers = True, False
-            else:
-                # Once the window has slid, the oldest candidate's predecessor
-                # is still at buffer index start - 1 (_compact keeps it), so the
-                # recurrence covers it too; before that it is computed directly.
-                a = lo or 1
-                covariance_step(cov[a - 1:l], self._df[a:l + 1], self._dg[a:l + 1],
-                                df_l, dg_l, cov[a:l + 1], self._t1[:l + 1 - a])
-                if not lo:
-                    covv[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
+            # Once the window has slid, the oldest candidate's predecessor is
+            # still at buffer index start - 1 (_compact keeps it), so the
+            # recurrence covers it too; before that it is computed directly.
+            lo = max(start, l + 1 - self._lags)
+            a = lo or 1
+            covariance_step(cov[a - 1:l], self._df[a:l + 1], self._dg[a:l + 1],
+                            df_l, dg_l, cov[a:l + 1], self._t1[:l + 1 - a])
+            if not lo:
+                covv[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
         # The variance is the recurrence's own diagonal.
         var = covv[l] / m
         isig = 0.0 if var <= 0.0 or self._equal_run >= m else 1.0 / math.sqrt(var)
@@ -309,34 +309,34 @@ class StreamingProfile:
                 value = match_distance(buf, m, l, k, float(isig_k == 0.0) if isig == 0.0
                                        else c * isig_k, isig)
             if settles(pos, value):
-                if self._hot:  # they go stale: keep the last search's best lags
+                if self._lags > 1:  # they go stale: keep the last search's best lags
                     p = min(PROBE_LAGS, self._ranked.size)
                     best = np.argpartition(self._ranked, -p)[-p:]
                     self._probe = best[:, None] + np.arange(m)
-                    self._hot = False
+                    self._lags = 1
                 self.successor_steps += 1
                 self._c = c
                 return value, None
         hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
         h = max(start, hi - HOT_CANDIDATES)  # the hot ones are [h, hi)
-        lo = start if self._exact else h  # current: [lo, l + 1)
-        if tiers and not self._hot:
-            # Score the probe's lags straight from the samples; the hot
-            # lags are the same at every step that has older candidates.
-            c = buf[h:].take(self._probe) @ (buf[l:end] - self._s1 / m)
-            score = self._isig[h:].take(self._probe[:, 0])
-            correlation_scores(c, isig, score, score)
-            j = int(score.argmax())
-            k = h + self._probe.item(j, 0)
-            value = match_distance(buf, m, l, k, score.item(j), isig)
-            if settles(pos, value):
-                self.probe_steps += 1
-                self._lag, self._c = l - k, c.item(j)
-                return value, None
-        if not self._hot:  # stale: rebuild the hot covariances from the samples
-            self._correlate(h, l)
+        lo = max(start, l + 1 - self._lags)  # current: [lo, l + 1)
+        if lo > h:  # the hot covariances are stale
+            if tiers:
+                # Score the probe's lags straight from the samples; the hot
+                # lags are the same at every step that has older candidates.
+                c = buf[h:].take(self._probe) @ (buf[l:end] - self._s1 / m)
+                score = self._isig[h:].take(self._probe[:, 0])
+                correlation_scores(c, isig, score, score)
+                j = int(score.argmax())
+                k = h + self._probe.item(j, 0)
+                value = match_distance(buf, m, l, k, score.item(j), isig)
+                if settles(pos, value):
+                    self.probe_steps += 1
+                    self._lag, self._c = l - k, c.item(j)
+                    return value, None
+            self._correlate(h, lo)
             self.hot_rebuilds += 1
-            self._hot = True
+            self._lags, lo = l + 1 - h, h
 
         if hi <= start:
             return None
@@ -348,11 +348,11 @@ class StreamingProfile:
             value = match_distance(buf, m, l, i, best, isig)
             if settles(self._offset + l, value):
                 self.search_steps += 1
-                self._exact = False
+                self._lags = l + 1 - h
                 self._lag, self._c = l - i, covv[i]
                 self._ranked = score[h - lo:].copy()
                 return value, None
-        if lo > start:  # the last append settled: rebuild the stale covariances
+        if lo > start:  # the older covariances are stale
             self._correlate(start, lo)
             self.rebuilds += 1
             score = correlation_scores(cov[start:lo], isig, self._isig[start:lo],
@@ -364,7 +364,7 @@ class StreamingProfile:
         # match_distance re-evaluates near duplicates: values reproduce to 1e-9.
         if value is None:
             value = match_distance(buf, m, l, i, best, isig)
-        self._exact, self._lag = True, None
+        self._lags, self._lag = cap, None
         if settles is not None:
             self.exact_steps += 1
         return value, self._offset + i

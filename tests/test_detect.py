@@ -589,8 +589,9 @@ class TestHotModeDecisions:
         events, trace, rebuild_steps = [], [], []
         for k, v in enumerate(x.tolist()):
             before = det.stream.rebuilds
-            if not carry:
-                det.stream._exact = False
+            if not carry:  # at most the hot covariances are current
+                det.stream._lags = min(det.stream._lags,
+                                       1 + r + mpstream.stream.HOT_CANDIDATES)
             events += det.step(v)
             trace.append(np.nan if det.last_profile is None else det.last_profile)
             if det.stream.rebuilds > before:

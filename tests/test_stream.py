@@ -335,6 +335,31 @@ class TestHotMode:
             assert hot.append(v, lambda pos, bound: True) == plain.append(v)
         assert hot.settled_steps == 0 and hot.exact_steps == len(x) - m - r
 
+    def test_the_lag_count_names_the_current_covariances(self, monkeypatch):
+        # The covariances of lags [0, _lags) of the newest subsequence are
+        # current: every lag after an exact append, the hot lags after a
+        # settled search, and lag 0 alone after the successor or the probe.
+        # Levels drawn per step give every tier and exact steps; a capacity
+        # of 64 resyncs and compacts every 64 appends.
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 16)
+        m, r, cap = 8, 2, 64
+        x = shifted_signal(3000, 7)
+        windows = np.lib.stride_tricks.sliding_window_view(x, m)
+        tol = 1e-9 * m * windows.var(axis=1).max()
+        levels = rng(8).choice([0.0, 0.5, 1.0, 2.0, np.inf], x.size)
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        for k, v in enumerate(x.tolist()):
+            sp.append(v, lambda pos, bound: bound <= levels[k])
+            assert sp._lags in (1, 1 + r + 16, cap), k
+            if k + 1 >= m:
+                l = sp._end - m
+                lo = max(sp._start, l + 1 - sp._lags)
+                q = windows[k + 1 - m] - windows[k + 1 - m].mean()
+                want = np.correlate(x[sp._offset + lo:k + 1], q, mode="valid")
+                assert np.abs(sp._cov[lo:l + 1] - want).max() <= tol, k
+        assert min(sp.successor_steps, sp.probe_steps, sp.search_steps,
+                   sp.exact_steps, sp.hot_rebuilds, sp.rebuilds) > 0
+
     def test_a_step_after_a_settled_one_rebuilds_if_exact(self, monkeypatch):
         # An exact step leaves every covariance current and a settled one
         # leaves only the hot ones, so an exact step rebuilds the older
