@@ -132,11 +132,13 @@ def _rows(path, header):
                 raise DataError(f"{path}: empty file")
             if first != header:
                 raise DataError(f"{path}: line 1: expected header {','.join(header)}")
-            for lineno, row in enumerate(reader, start=2):
+            lineno = reader.line_num + 1  # a row's first file line
+            for row in reader:
                 if len(row) != len(header):
                     raise DataError(f"{path}: line {lineno}: "
                                     f"expected {len(header)} fields, got {len(row)}")
                 yield lineno, row
+                lineno = reader.line_num + 1
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 

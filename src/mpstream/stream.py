@@ -47,8 +47,8 @@ __all__ = ["StreamingProfile"]
 HOT_CANDIDATES = 1024
 # Hot lags the probe scores: the best ones of the last search.  A step that
 # the probe does not settle rebuilds the hot covariances; on the default
-# channel at seed 1, probes of 16, 32, 64, 96 and 128 lags leave 778, 493, 320,
-# 265 and 253 such steps of 96000 armed ones, and a probe of every hot lag 248.
+# channel at seed 1, probes of 16, 32, 64, 96 and 128 lags leave 824, 540, 361,
+# 299 and 285 such steps of 96000 armed ones, and a probe of every hot lag 279.
 PROBE_LAGS = 96
 
 
@@ -88,28 +88,30 @@ class StreamingProfile:
     returns that bound; every other append is exact.  An append after a
     settled one first offers two distances to single hot candidates, which
     are never below the hot best: the last neighbor's successor, one scalar
-    step of the recurrence from the last neighbor's covariance, and, if the
-    hot covariances are stale, the best of the :data:`PROBE_LAGS` best hot
-    lags of the last search, scored straight from the samples.
+    step of the recurrence from the last neighbor's covariance, and then
+    the best of the :data:`PROBE_LAGS` best hot lags of the last search that
+    settled, ranked when it settled and scored straight from the samples:
+    rows of one sliding-window view of them, and one matrix-vector product.
     ``settles`` is monotone in the bound, so these tiers change which
     bound a settled append returns, never which appends settle.
 
     The covariances of lags ``[0, _lags)`` are current; the recurrence keeps
     each lag in place.  An exact append sets ``_lags`` to ``capacity``
-    (every lag), the hot search to ``1 + exclusion_radius + HOT_CANDIDATES``,
-    the successor or the probe to 1.  An append that needs candidates older
-    than ``lo = max(start, l + 1 - _lags)`` rebuilds ``[X, lo)`` from the
-    samples and sets the count from ``X``.  The count changes the cost, and
-    an exact value in its last bits (about 1e-13: rebuilt and carried
-    covariances round differently), but no event, threshold or 9-digit CSV.
+    (every lag) and a settled one to 1 (lag 0 alone), whichever bound
+    settled it.  An append that needs candidates older than ``lo = max(start,
+    l + 1 - _lags)`` rebuilds ``[X, lo)`` from the samples and sets the count
+    from ``X``.  The count changes the cost, and an exact value in its last
+    bits (about 1e-13: rebuilt and carried covariances round differently),
+    but no event, threshold or 9-digit CSV.
     Counters: ``settled_steps`` and ``exact_steps``, the appends given a
     ``settles`` that returned a bound and an exact value;
     ``successor_steps``, ``probe_steps`` and ``search_steps``, the settled
     ones by what settled them; ``hot_rebuilds`` and ``rebuilds``.
 
     :meth:`append` reads and writes single elements as Python floats through
-    a ``memoryview`` of the samples and of each cache; the views stay valid
-    because ``_compact`` copies inside the arrays and never reallocates them.
+    a ``memoryview`` of the samples and of each cache; these views and the
+    probe's window view stay valid because ``_compact`` copies inside the
+    arrays and never reallocates them.
 
     A StreamingProfile is single-writer; appends must be externally
     serialized.  Snapshots returned by :meth:`profile` are independent
@@ -142,6 +144,7 @@ class StreamingProfile:
         self._t1 = np.empty(capacity)  # scratch: avoids per-append allocation
         self._bufv, self._covv, self._isigv, self._dfv, self._dgv = map(
             memoryview, (self._buf, self._cov, self._isig, self._df, self._dg))
+        self._windows = np.lib.stride_tricks.sliding_window_view(self._buf, m)
         # Appends between recomputations of the running sum and covariances
         # from the samples (a batch sweep's stream never fills): short-lag
         # covariances never leave the window, so their rounding would persist.
@@ -159,8 +162,7 @@ class StreamingProfile:
         self._lags = capacity    # the covariances of lags [0, _lags) are current
         self._lag = None         # the last append's neighbor if it settled, as a
         self._c = 0.0            # lag, and its covariance with the newest subsequence
-        self._ranked = None      # the hot scores of the last search that settled
-        self._probe = None       # their best windows, by row: offsets from the hot range's start
+        self._probe = None       # the last settled search's best lags, as offsets from h
         self.successor_steps = 0
         self.probe_steps = 0
         self.search_steps = 0
@@ -309,11 +311,6 @@ class StreamingProfile:
                 value = match_distance(buf, m, l, k, float(isig_k == 0.0) if isig == 0.0
                                        else c * isig_k, isig)
             if settles(pos, value):
-                if self._lags > 1:  # they go stale: keep the last search's best lags
-                    p = min(PROBE_LAGS, self._ranked.size)
-                    best = np.argpartition(self._ranked, -p)[-p:]
-                    self._probe = best[:, None] + np.arange(m)
-                    self._lags = 1
                 self.successor_steps += 1
                 self._c = c
                 return value, None
@@ -324,11 +321,12 @@ class StreamingProfile:
             if tiers:
                 # Score the probe's lags straight from the samples; the hot
                 # lags are the same at every step that has older candidates.
-                c = buf[h:].take(self._probe) @ (buf[l:end] - self._s1 / m)
-                score = self._isig[h:].take(self._probe[:, 0])
+                k = h + self._probe
+                c = self._windows[k] @ (buf[l:end] - self._s1 / m)
+                score = self._isig[k]
                 correlation_scores(c, isig, score, score)
                 j = int(score.argmax())
-                k = h + self._probe.item(j, 0)
+                k = k.item(j)
                 value = match_distance(buf, m, l, k, score.item(j), isig)
                 if settles(pos, value):
                     self.probe_steps += 1
@@ -348,9 +346,9 @@ class StreamingProfile:
             value = match_distance(buf, m, l, i, best, isig)
             if settles(self._offset + l, value):
                 self.search_steps += 1
-                self._lags = l + 1 - h
-                self._lag, self._c = l - i, covv[i]
-                self._ranked = score[h - lo:].copy()
+                self._lags, self._lag, self._c = 1, l - i, covv[i]
+                p = min(PROBE_LAGS, hi - h)  # the probe's lags: the best hot ones
+                self._probe = np.argpartition(score[h - lo:], -p)[-p:]
                 return value, None
         if lo > start:  # the older covariances are stale
             self._correlate(start, lo)

@@ -63,6 +63,21 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match="line 3: expected 3 fields, got 2"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("read, text, message", [
+        (read_dataset, 't_s,f_c_hz,label\n0,1,"a\nb"\n1,2,\nx,3,\n', "line 5: malformed number"),
+        (read_dataset, 't_s,f_c_hz,label\n0,1,"a\nb"\n1,2\n', "line 4: expected 3 fields, got 2"),
+        (read_truth, 'start_idx,end_idx,label\n0,1,"a\nb"\n1,x,\n', "line 4: malformed index"),
+        (read_dataset, "t_s,f_c_hz,label\n0,1,\n\n", "line 3: expected 3 fields, got 0"),
+    ])
+    def test_error_names_file_line_after_a_multiline_field(self, tmp_path, read, text,
+                                                           message):
+        # A quoted label that holds a newline spans two file lines; errors
+        # after it name the file line, not the row.
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"{path}: {message}$"):
+            read(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_number_names_line(self, tmp_path, value):
         path = tmp_path / "bad.csv"

@@ -337,8 +337,8 @@ class TestHotMode:
 
     def test_the_lag_count_names_the_current_covariances(self, monkeypatch):
         # The covariances of lags [0, _lags) of the newest subsequence are
-        # current: every lag after an exact append, the hot lags after a
-        # settled search, and lag 0 alone after the successor or the probe.
+        # current: every lag after an exact append and lag 0 alone after a
+        # settled one, whether the successor, the probe or the search settled it.
         # Levels drawn per step give every tier and exact steps; a capacity
         # of 64 resyncs and compacts every 64 appends.
         monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 16)
@@ -350,7 +350,7 @@ class TestHotMode:
         sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         for k, v in enumerate(x.tolist()):
             sp.append(v, lambda pos, bound: bound <= levels[k])
-            assert sp._lags in (1, 1 + r + 16, cap), k
+            assert sp._lags in (1, cap), k
             if k + 1 >= m:
                 l = sp._end - m
                 lo = max(sp._start, l + 1 - sp._lags)
@@ -361,11 +361,11 @@ class TestHotMode:
                    sp.exact_steps, sp.hot_rebuilds, sp.rebuilds) > 0
 
     def test_a_step_after_a_settled_one_rebuilds_if_exact(self, monkeypatch):
-        # An exact step leaves every covariance current and a settled one
-        # leaves only the hot ones, so an exact step rebuilds the older
-        # covariances exactly when the step before it settled, whether its
-        # bound did not settle or it was given no settles at all.  A settled
-        # step returns its bound, also right after an exact one.
+        # An exact step leaves every covariance current and a settled one lag
+        # 0 alone, so an exact step rebuilds the older covariances exactly
+        # when the step before it settled, whether its bound did not settle
+        # or it was given no settles at all.  A settled step returns its
+        # bound, also right after an exact one.
         monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 4)
         m, r, cap = 8, 2, 64
         x = iter(rng(11).normal(size=200).tolist())
@@ -411,9 +411,9 @@ class TestHotMode:
         assert sp.exact_steps == sum(a is False for a in answers)
 
     def test_a_step_settled_by_the_successor_does_no_vector_work(self, monkeypatch):
-        # Once a tier has settled a step, the hot covariances are stale, and
-        # a step that the last neighbor's successor settles advances none of
-        # them: it calls neither the vector recurrence nor np.correlate, and
+        # Once a step has settled, the hot covariances are stale, and a step
+        # that the last neighbor's successor settles advances none of them:
+        # it calls neither the vector recurrence nor np.correlate, and
         # returns a bound at or above its exact value.
         monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 16)
         calls = []
@@ -428,26 +428,26 @@ class TestHotMode:
         x = np.sin(2 * np.pi * np.arange(900) / 10) + rng(4).normal(0, 0.1, 900)
         sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         plain = StreamingProfile(m, capacity=cap, exclusion_radius=r)
-        stale, quiet = False, 0  # the hot covariances are stale after a tier
+        stale, quiet = False, 0  # the hot covariances are stale after a settled step
         for v in x:
             want = plain.append(v)
             n, successor = len(calls), sp.successor_steps
-            tiers = sp.successor_steps + sp.probe_steps
+            settled = sp.settled_steps
             got = sp.append(v, lambda pos, bound: True)
             if stale and sp.successor_steps > successor:
                 assert len(calls) == n
                 assert got[1] is None and want[0] <= got[0] + 1e-9
                 quiet += 1
-            stale = sp.successor_steps + sp.probe_steps > tiers
+            stale = sp.settled_steps > settled
         assert sp.settled_steps + sp.exact_steps == len(x) - m - r
         assert quiet > len(x) // 2
 
     def test_a_step_settled_by_the_successor_indexes_no_array(self, monkeypatch):
-        # A step that the successor settles after a tier reads and writes its
-        # single elements through memoryviews, never by an integer index into
-        # a numpy array, which boxes a numpy scalar.  Views of the arrays
-        # that count such indexing change no result: every step returns what
-        # an untouched twin stream returns.
+        # A step that the successor settles reads and writes its single
+        # elements through memoryviews, never by an integer index into a
+        # numpy array, which boxes a numpy scalar.  Views of the arrays that
+        # count such indexing change no result: every step returns what an
+        # untouched twin stream returns.
         monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 16)
         hits = []
 
@@ -468,16 +468,16 @@ class TestHotMode:
         twin = StreamingProfile(m, capacity=cap, exclusion_radius=r)
         for name in ("_buf", "_cov", "_isig", "_df", "_dg"):
             setattr(sp, name, getattr(sp, name).view(Counting))
-        stale, quiet = False, 0  # the hot covariances are stale after a tier
+        stale, quiet = False, 0  # the hot covariances are stale after a settled step
         for v in x.tolist():
             want = twin.append(v, lambda pos, bound: True)
             n, successor = len(hits), sp.successor_steps
-            tiers = sp.successor_steps + sp.probe_steps
+            settled = sp.settled_steps
             assert sp.append(v, lambda pos, bound: True) == want
             if stale and sp.successor_steps > successor:
                 assert len(hits) == n
                 quiet += 1
-            stale = sp.successor_steps + sp.probe_steps > tiers
+            stale = sp.settled_steps > settled
         assert quiet > len(x) // 2
         n = len(hits)  # the views count, and share the arrays' memory:
         assert sp._isig[sp._end - m] == twin._isig[twin._end - m]
