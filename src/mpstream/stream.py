@@ -10,17 +10,18 @@ a sweep of a stream that holds the whole series and so never evicts.
 
 Memory is O(capacity) regardless of how many samples are ingested; the
 oldest sample is evicted once the window is full.  The stream keeps no
-profile history: each append runs the neighbor search inline and returns
-its value.  A snapshot replays the retained window through a fresh stream,
-so it is the left profile of that window by construction and never reports
-a distance to a subsequence that is gone; it costs about as much as
-appending the window again.
+profile history: each append returns its neighbor's value.  A snapshot
+replays the retained window through a fresh stream, so it is the left
+profile of that window by construction and never reports a distance to a
+subsequence that is gone; it costs about as much as appending the window
+again.
 
-Every append searches the most recent candidates first; given a
-``settles`` callable, it stops there when their best distance settles it,
-after DAMP (Lu et al., "Matrix Profile XXIV", KDD 2022).  An append after a
-settled one tries the last neighbor's successor before that, after SCRIMP++
-(Zhu et al., ICDM 2018), and, when it must, the best lags of the last search.
+An append is one hot path and one cold search.  Given a ``settles``
+callable, an append after a settled one first tries the last neighbor's
+successor inline, after SCRIMP++ (Zhu et al., ICDM 2018), and most appends
+end there.  Every other append searches the best lags of the last search,
+then the most recent candidates, and stops there when their best distance
+settles it, after DAMP (Lu et al., "Matrix Profile XXIV", KDD 2022).
 """
 
 from __future__ import annotations
@@ -64,45 +65,28 @@ class StreamingProfile:
     exclusion_radius : int, optional
         Trivial-match half-width, default ``ceil(m/4)``.
 
-    :meth:`append` is the whole per-sample path.  It advances the centred
-    covariances of the newest subsequence with every retained one by
-    :func:`~mpstream.core.covariance_step`, scores them with
-    :func:`~mpstream.core.correlation_scores` and turns the winner's score
-    into its distance with :func:`~mpstream.core.match_distance`.  Per
-    subsequence it keeps 1/std and the recurrence's two terms ``df`` and
-    ``dg``, cached once when the subsequence arrives; the window's variance
-    is the recurrence's own diagonal, and its mean comes from a compensated
-    running sum.  That is the only search, and past values are not stored:
-    :meth:`profile` rebuilds them by replaying the retained samples.
+    :meth:`append` is the hot path.  It stores the sample, caches the newest
+    subsequence's 1/std and the terms ``df`` and ``dg`` of
+    :func:`~mpstream.core.covariance_step`, carries lag 0 and, after a
+    settled append, scores the last neighbor's successor by one scalar step
+    of that recurrence.  :meth:`_carry` and :meth:`_search` do the rest;
+    their docstrings give the carry and the search order.  The window's
+    variance is the recurrence's own diagonal, and its mean comes from a
+    compensated running sum.  Past values are not stored: :meth:`profile`
+    rebuilds them by replaying the retained samples.
 
     Samples are stored minus the first sample, which leaves every distance
     unchanged but keeps a large common offset (a 50 Hz level) out of the
     running sum.
 
-    Every :meth:`append` searches in one order.  It searches the
-    :data:`HOT_CANDIDATES` most recent candidates first (lags up to
-    ``exclusion_radius + HOT_CANDIDATES``) and evaluates their best
-    distance; then it searches the older candidates, and the older winner
-    wins a tie, so the result is that of one search over the whole window.
-    Given a ``settles`` predicate, an append whose hot best it accepts
-    returns that bound; every other append is exact.  An append after a
-    settled one first offers two distances to single hot candidates, which
-    are never below the hot best: the last neighbor's successor, one scalar
-    step of the recurrence from the last neighbor's covariance, and then
-    the best of the :data:`PROBE_LAGS` best hot lags of the last search that
-    settled, ranked when it settled and scored straight from the samples:
-    rows of one sliding-window view of them, and one matrix-vector product.
-    ``settles`` is monotone in the bound, so these tiers change which
-    bound a settled append returns, never which appends settle.
-
-    The covariances of lags ``[0, _lags)`` are current; the recurrence keeps
-    each lag in place.  An exact append sets ``_lags`` to ``capacity``
-    (every lag) and a settled one to 1 (lag 0 alone), whichever bound
-    settled it.  An append that needs candidates older than ``lo = max(start,
-    l + 1 - _lags)`` rebuilds ``[X, lo)`` from the samples and sets the count
-    from ``X``.  The count changes the cost, and an exact value in its last
-    bits (about 1e-13: rebuilt and carried covariances round differently),
-    but no event, threshold or 9-digit CSV.
+    The covariances of lags ``[0, _lags)`` are current between appends; the
+    recurrence keeps each lag in place.  ``_lags`` is 1 after a settled
+    append (lag 0 alone) and ``capacity`` after an exact one (every lag).
+    Within an append, ``lo`` is a local that :meth:`_carry` hands to
+    :meth:`_search`: the covariances of candidates ``[lo, l]`` are current.
+    Which ones were rebuilt rather than carried changes the cost, and an
+    exact value in its last bits (about 1e-13), but no event, threshold or
+    9-digit CSV.
     Counters: ``settled_steps`` and ``exact_steps``, the appends given a
     ``settles`` that returned a bound and an exact value;
     ``successor_steps``, ``probe_steps`` and ``search_steps``, the settled
@@ -160,8 +144,8 @@ class StreamingProfile:
         self._c1 = 0.0           # its Kahan compensation
         self._equal_run = 0      # trailing run of bitwise-identical samples
         self._lags = capacity    # the covariances of lags [0, _lags) are current
-        self._lag = None         # the last append's neighbor if it settled, as a
-        self._c = 0.0            # lag, and its covariance with the newest subsequence
+        self._lag = None         # the last settled append's neighbor, as a lag, and
+        self._c = 0.0            # its covariance with that append's subsequence
         self._probe = None       # the last settled search's best lags, as offsets from h
         self.successor_steps = 0
         self.probe_steps = 0
@@ -251,7 +235,7 @@ class StreamingProfile:
             return None
 
         l = end - m  # buffer index of the newest subsequence
-        cov, covv = self._cov, self._covv
+        covv = self._covv
         if count == m:
             df_l = dg_l = 0.0
         else:
@@ -266,38 +250,22 @@ class StreamingProfile:
         self._dfv[l] = df_l
         self._dgv[l] = dg_l
 
-        # A step after a settled one first tries two bounds that need no
-        # work over the hot candidates.  (After an exact one the successor
-        # almost never settles: 7 of 2137 such steps on the default channel
-        # at seed 1.)
-        tiers = settles is not None and self._lag is not None
+        # Only lag 0 is current after a settled append: carry it alone, in
+        # covariance_step's operation order.  A resync append, or one after
+        # an exact append, leaves the rest to _carry and skips the successor
+        # (after an exact one it almost never settles: 7 of 2137 such steps
+        # on the default channel at seed 1).
         if self._lags == 1 and count % self._resync:
-            # Only lag 0 is current: carry it alone, in covariance_step's
-            # operation order.
             covv[l] = (dg_l * df_l + covv[l - 1]) + df_l * dg_l
-        elif count == m or count % self._resync == 0:
-            self._lags = max(self._lags, 1 + self.exclusion_radius + HOT_CANDIDATES)
-            self._s1 = float(np.sum(buf[l:end]))
-            self._c1 = 0.0
-            self._correlate(max(start, l + 1 - self._lags), l + 1)
-            tiers = False
+            lo, tiers = l, settles is not None
         else:
-            # Once the window has slid, the oldest candidate's predecessor is
-            # still at buffer index start - 1 (_compact keeps it), so the
-            # recurrence covers it too; before that it is computed directly.
-            lo = max(start, l + 1 - self._lags)
-            a = lo or 1
-            covariance_step(cov[a - 1:l], self._df[a:l + 1], self._dg[a:l + 1],
-                            df_l, dg_l, cov[a:l + 1], self._t1[:l + 1 - a])
-            if not lo:
-                covv[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
+            lo, tiers = self._carry(start, l, count, df_l, dg_l), False
         # The variance is the recurrence's own diagonal.
         var = covv[l] / m
         isig = 0.0 if var <= 0.0 or self._equal_run >= m else 1.0 / math.sqrt(var)
         self._isigv[l] = isig
 
         if tiers:
-            pos = self._offset + l
             # The last neighbor was hot, and so is its successor at the same
             # lag: one scalar step of the recurrence gives its covariance.
             k = l - self._lag
@@ -310,31 +278,79 @@ class StreamingProfile:
             else:
                 value = match_distance(buf, m, l, k, float(isig_k == 0.0) if isig == 0.0
                                        else c * isig_k, isig)
-            if settles(pos, value):
+            if settles(self._offset + l, value):
                 self.successor_steps += 1
                 self._c = c
                 return value, None
+        return self._search(start, l, lo, isig, settles, tiers)
+
+    def _carry(self, start: int, l: int, count: int, df_l: float, dg_l: float) -> int:
+        """Update the newest subsequence ``l``'s covariances where
+        :meth:`append` does not carry lag 0 alone, and return ``lo``: those
+        with candidates ``[lo, l]`` are then current.
+
+        At the first subsequence and every ``_resync`` appends it recomputes
+        the running sum and correlates lags ``[0, _lags)``, and at least the
+        hot lags, straight from the samples.  Otherwise it carries lags
+        ``[0, _lags)`` with :func:`~mpstream.core.covariance_step`.
+        """
+        buf, m, end = self._buf, self.m, self._end
+        if count == m or count % self._resync == 0:
+            self._s1 = float(np.sum(buf[l:end]))
+            self._c1 = 0.0
+            lo = max(start, l + 1 - max(self._lags, 1 + self.exclusion_radius + HOT_CANDIDATES))
+            self._correlate(lo, l + 1)
+            return lo
+        # Once the window has slid, the oldest candidate's predecessor is
+        # still at buffer index start - 1 (_compact keeps it), so the
+        # recurrence covers it too; before that it is computed directly.
+        lo = max(start, l + 1 - self._lags)
+        a, cov = lo or 1, self._cov
+        covariance_step(cov[a - 1:l], self._df[a:l + 1], self._dg[a:l + 1],
+                        df_l, dg_l, cov[a:l + 1], self._t1[:l + 1 - a])
+        if not lo:
+            self._covv[0] = float(np.dot(buf[:m], buf[l:end] - self._s1 / m))
+        return lo
+
+    def _search(self, start: int, l: int, lo: int, isig: float, settles, tiers: bool):
+        """What :meth:`append` returns unless the successor settled it, given
+        the newest subsequence ``l``'s current covariances ``[lo, l]``.
+
+        In order, stopping at the first bound that ``settles`` accepts: if
+        ``tiers``, the probe, the best of the :data:`PROBE_LAGS` hot lags
+        ranked where a hot search last settled, scored straight from the
+        samples; the :data:`HOT_CANDIDATES` most recent candidates (lags up
+        to ``exclusion_radius + HOT_CANDIDATES``), rebuilt first if stale,
+        whose best distance it offers when older candidates remain; then the
+        older candidates, rebuilt if stale, whose winner wins a tie, so the
+        exact result is that of one search over the whole window.  The
+        successor and the probe are single hot candidates, never below the
+        hot best, and ``settles`` is monotone in the bound: they change which
+        bound a settled append returns, never which appends settle.  A
+        settled hot search ranks the probe's lags and sets ``_lags`` to 1;
+        an exact search sets it to ``capacity``.
+        """
+        buf, m, cov = self._buf, self.m, self._cov
         hi = l - self.exclusion_radius  # candidates are buffer indices [start, hi)
         h = max(start, hi - HOT_CANDIDATES)  # the hot ones are [h, hi)
-        lo = max(start, l + 1 - self._lags)  # current: [lo, l + 1)
         if lo > h:  # the hot covariances are stale
             if tiers:
                 # Score the probe's lags straight from the samples; the hot
                 # lags are the same at every step that has older candidates.
                 k = h + self._probe
-                c = self._windows[k] @ (buf[l:end] - self._s1 / m)
+                c = self._windows[k] @ (buf[l:self._end] - self._s1 / m)
                 score = self._isig[k]
                 correlation_scores(c, isig, score, score)
                 j = int(score.argmax())
                 k = k.item(j)
                 value = match_distance(buf, m, l, k, score.item(j), isig)
-                if settles(pos, value):
+                if settles(self._offset + l, value):
                     self.probe_steps += 1
                     self._lag, self._c = l - k, c.item(j)
                     return value, None
             self._correlate(h, lo)
             self.hot_rebuilds += 1
-            self._lags, lo = l + 1 - h, h
+            lo = h
 
         if hi <= start:
             return None
@@ -346,7 +362,7 @@ class StreamingProfile:
             value = match_distance(buf, m, l, i, best, isig)
             if settles(self._offset + l, value):
                 self.search_steps += 1
-                self._lags, self._lag, self._c = 1, l - i, covv[i]
+                self._lags, self._lag, self._c = 1, l - i, self._covv[i]
                 p = min(PROBE_LAGS, hi - h)  # the probe's lags: the best hot ones
                 self._probe = np.argpartition(score[h - lo:], -p)[-p:]
                 return value, None
@@ -362,7 +378,7 @@ class StreamingProfile:
         # match_distance re-evaluates near duplicates: values reproduce to 1e-9.
         if value is None:
             value = match_distance(buf, m, l, i, best, isig)
-        self._lags, self._lag = cap, None
+        self._lags = self.capacity
         if settles is not None:
             self.exact_steps += 1
         return value, self._offset + i

@@ -413,17 +413,21 @@ class TestHotMode:
     def test_a_step_settled_by_the_successor_does_no_vector_work(self, monkeypatch):
         # Once a step has settled, the hot covariances are stale, and a step
         # that the last neighbor's successor settles advances none of them:
-        # it calls neither the vector recurrence nor np.correlate, and
-        # returns a bound at or above its exact value.
+        # it calls neither the vector recurrence nor np.correlate, nor the
+        # cold carry and search, and returns a bound at or above its exact
+        # value.
         monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 16)
         calls = []
-        step, correlate = mpstream.stream.covariance_step, np.correlate
 
         def counted(f):
             return lambda *args, **kwargs: calls.append(f) or f(*args, **kwargs)
 
-        monkeypatch.setattr(mpstream.stream, "covariance_step", counted(step))
-        monkeypatch.setattr(np, "correlate", counted(correlate))
+        monkeypatch.setattr(mpstream.stream, "covariance_step",
+                            counted(mpstream.stream.covariance_step))
+        monkeypatch.setattr(np, "correlate", counted(np.correlate))
+        for name in ("_carry", "_search"):
+            monkeypatch.setattr(StreamingProfile, name,
+                                counted(getattr(StreamingProfile, name)))
         m, r, cap = 8, 2, 64
         x = np.sin(2 * np.pi * np.arange(900) / 10) + rng(4).normal(0, 0.1, 900)
         sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
@@ -441,6 +445,27 @@ class TestHotMode:
             stale = sp.settled_steps > settled
         assert sp.settled_steps + sp.exact_steps == len(x) - m - r
         assert quiet > len(x) // 2
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_a_resync_append_settles_only_by_the_hot_search(self, monkeypatch, seed):
+        # A resync append correlates at least the hot lags from the samples,
+        # so it neither tries the successor or the probe nor rebuilds the
+        # hot covariances: it settles by the hot search or is exact.  A
+        # capacity of 64 resyncs every 64 appends.
+        monkeypatch.setattr(mpstream.stream, "HOT_CANDIDATES", 16)
+        m, r, cap = 8, 2, 64
+        x = shifted_signal(3000, seed)
+        levels = rng(seed + 1).choice([0.0, 1.0, 2.0, np.inf], x.size)
+        sp = StreamingProfile(m, capacity=cap, exclusion_radius=r)
+        resyncs = settled = 0
+        for k, v in enumerate(x.tolist()):
+            before = sp.successor_steps, sp.probe_steps, sp.hot_rebuilds, sp.settled_steps
+            sp.append(v, lambda pos, bound: bound <= levels[k])
+            if sp.count % sp._resync == 0:
+                assert (sp.successor_steps, sp.probe_steps, sp.hot_rebuilds) == before[:3], k
+                resyncs += 1
+                settled += sp.settled_steps > before[3]
+        assert resyncs == x.size // cap and settled > 5
 
     def test_a_step_settled_by_the_successor_indexes_no_array(self, monkeypatch):
         # A step that the successor settles reads and writes its single
