@@ -4,9 +4,10 @@ The profile of a series is, for every length-``m`` subsequence, the distance
 to its nearest neighbor elsewhere in the series, excluding trivial
 self-matches around the subsequence's own position.  Two implementations are
 provided: :func:`matrix_profile_brute`, a direct all-pairs reference, and
-:func:`matrix_profile`, an O(n^2)-time / O(n)-space sweep of the streaming
-profile over the whole series (see :mod:`mpstream.stream`).  Both share the
-same degenerate conventions for zero-variance (flat) subsequences.
+:func:`matrix_profile`, an O(n^2)-time / O(n)-space sweep over the buffers,
+carry and kernel of a stream that holds the whole series, not its tiers
+(see :mod:`mpstream.stream`).  Both share the same degenerate conventions
+for zero-variance (flat) subsequences.
 
 :func:`covariance_step`, :func:`correlation_scores` and
 :func:`match_distance`, the stream's distance kernel (the brute force uses
@@ -270,6 +271,23 @@ def match_distance(x: np.ndarray, m: int, i: int, j: int, score: float,
     return math.sqrt(min(d2, 4.0 * m))
 
 
+def _match_distances(x, m, i, j, score, isig):
+    """:func:`match_distance` of every pair ``(i[k], j[k])`` in its operation
+    order, so bitwise equal; ``i`` may be a ``range``.  The root is taken only
+    above the refine cut."""
+    d2 = np.multiply(score, isig)
+    d2 /= m
+    np.copyto(d2, score, where=isig == 0.0)
+    np.subtract(1.0, d2, out=d2)
+    d2 *= 2.0 * m
+    refine = d2 <= (1.0 - REFINE_RHO) * (2.0 * m)
+    np.minimum(d2, 4.0 * m, out=d2)
+    np.sqrt(d2, out=d2, where=~refine)
+    for k in refine.nonzero()[0].tolist():
+        d2[k] = _pair_distance(x[i[k]:i[k] + m], x[j[k]:j[k] + m], m)
+    return d2
+
+
 def matrix_profile_brute(series, m: int, exclusion_radius: int | None = None) -> MatrixProfile:
     """All-pairs reference Matrix Profile.
 
@@ -316,8 +334,9 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
     """Matrix Profile in O(n^2) time and O(n) auxiliary space.
 
     Equivalent to :func:`matrix_profile_brute` within 1e-6 per element
-    (indices up to distance ties).  It is the sweep of a
-    :class:`~mpstream.stream.StreamingProfile` that holds the whole series.
+    (indices up to distance ties).  It sweeps the buffers, carry and kernel
+    of a :class:`~mpstream.stream.StreamingProfile` that holds the whole
+    series, without the tiers of its appends.
 
     Parameters
     ----------

@@ -5,8 +5,9 @@ profile against all older in-window subsequences is evaluated in O(window)
 work, using the centred covariance recurrence of :mod:`mpstream.core`.  The
 minimum becomes the subsequence's left-profile value, which is what a
 causal detector consumes: the stream never looks at samples that have not
-arrived yet.  The batch profile, :func:`~mpstream.core.matrix_profile`, is
-a sweep of a stream that holds the whole series and so never evicts.
+arrived yet.  The batch profile, :func:`~mpstream.core.matrix_profile`,
+sweeps a stream that holds the whole series and so never evicts, sharing
+its buffers, :meth:`~StreamingProfile._carry` and kernel but not its tiers.
 
 Memory is O(capacity) regardless of how many samples are ingested; the
 oldest sample is evicted once the window is full.  The stream keeps no
@@ -34,6 +35,8 @@ from mpstream.core import (
     REFINE_RHO,
     SENTINEL_INDEX,
     MatrixProfile,
+    _constant_windows,
+    _match_distances,
     _validate_radius,
     correlation_scores,
     covariance_step,
@@ -384,47 +387,73 @@ class StreamingProfile:
         return value, self._offset + i
 
     def _sweep(self, x: np.ndarray) -> MatrixProfile:
-        """Full profile of ``x``, appended to this fresh stream, which must
-        hold all of it.  :meth:`append` (resyncing as in any stream) gives
-        each subsequence its left neighbor; the covariances it computes score
-        the newest subsequence against every earlier one outside the zone,
-        ``cov * (1/std_new)`` in the earlier one's units, and a strict ``>``
-        keeps the first of tied later neighbors.  Flat subsequences take the
-        flat rule afterwards.  The later neighbor wins only where it is
+        """Full profile of ``x`` in this fresh stream, which must hold all of
+        it and takes no appends afterwards.  Each row takes :meth:`append`'s
+        scalar prologue and flat rule (an equal run is a constant window)
+        and :meth:`_carry`; no tier or ``settles``.  Its first argmax is its
+        left neighbor, as :meth:`_search` finds it; ``cov * (1/std_new)``
+        scores it in each earlier one's units, and a strict ``>`` keeps the
+        first of tied later neighbors.  Flat subsequences take the flat rule
+        afterwards, one vectorised :func:`~mpstream.core.match_distance`
+        gives every distance, and the later neighbor wins only where it is
         strictly closer.
         """
         m, r = self.m, self.exclusion_radius
-        p = x.size - m + 1
-        distances = np.full(p, np.inf)
-        indices = np.full(p, SENTINEL_INDEX, dtype=np.int64)
+        n, p = x.size, x.size - m + 1
+        buf, cov, isig, score = self._buf, self._cov, self._isig, self._t1
+        bufv, covv, isigv, dfv, dgv = self._bufv, self._covv, self._isigv, self._dfv, self._dgv
+        np.subtract(x, x[0], out=buf[:n])
+        const = memoryview(_constant_windows(buf[:n], m))
+        left = np.zeros(p)  # best earlier score, in each one's units
+        left_at = np.full(p, SENTINEL_INDEX, dtype=np.int64)
+        leftv, left_atv = memoryview(left), memoryview(left_at)
         later = np.full(p, -np.inf)  # best later score, in each one's units
         later_at = np.zeros(p, dtype=np.int64)
         won = np.empty(p, dtype=bool)
-        cov, isig, score = self._cov, self._isig, self._t1
-        for k, v in enumerate(x.tolist()):
-            res = self.append(v)
-            if res is None:  # no candidate outside the zone yet
-                continue
-            l = k - m + 1
-            distances[l], indices[l] = res
-            hi = l - r
-            np.multiply(cov[:hi], isig[l], out=score[:hi])
-            np.greater(score[:hi], later[:hi], out=won[:hi])
-            np.copyto(later[:hi], score[:hi], where=won[:hi])
-            np.copyto(later_at[:hi], l, where=won[:hi])
-
-        flat = isig[:p] == 0.0
-        for i in range(p - r - 1):
-            if flat[i]:
-                lo = i + r + 1
-                j = lo + int(flat[lo:].argmax())
-                s = float(flat[j])
+        for l in range(p):
+            end = l + m
+            self._end = end
+            if l:
+                new, old = bufv[end - 1], bufv[l - 1]
+                mu_prev = self._s1 / m
+                y = (new - old) - self._c1  # Kahan-compensated running sum
+                s1 = self._s1 + y
+                self._c1, self._s1 = (s1 - self._s1) - y, s1
+                df_l = 0.5 * (new - old)
+                dg_l = (new - s1 / m) + (old - mu_prev)
             else:
-                j, s = int(later_at[i]), float(later[i])
-            d = match_distance(self._buf, m, i, j, s, float(isig[i]))
-            if d < distances[i]:
-                distances[i], indices[i] = d, j
-        return MatrixProfile(distances=distances, indices=indices, m=m)
+                df_l = dg_l = 0.0
+            dfv[l], dgv[l] = df_l, dg_l
+            self._carry(0, l, end, df_l, dg_l)
+            var = covv[l] / m
+            isig_l = 0.0 if var <= 0.0 or const[l] else 1.0 / math.sqrt(var)
+            isigv[l] = isig_l
+            hi = l - r
+            if hi <= 0:  # no candidate outside the zone yet
+                continue
+            row = cov[:hi]
+            s = correlation_scores(row, isig_l, isig[:hi], score[:hi])
+            i = int(s.argmax())
+            leftv[l], left_atv[l] = s.item(i), i
+            np.multiply(row, isig_l, out=s)
+            w = np.greater(s, later[:hi], out=won[:hi]).nonzero()
+            later[w] = s[w]
+            later_at[w] = l
+
+        distances = np.full(p, np.inf)
+        distances[r + 1:] = _match_distances(buf, m, range(r + 1, p), left_at[r + 1:],
+                                             left[r + 1:], isig[r + 1:p])
+        # Flat ones: the first later flat one scores 1; with none, the next one scores 0.
+        c = p - r - 1  # subsequences [0, c) have later candidates
+        flat = (isig[:p] == 0.0).nonzero()[0]
+        q = flat[flat < c]
+        j = np.append(flat, p)[np.searchsorted(flat, q + r + 1)]
+        later[q] = j < p
+        later_at[q] = np.where(j < p, j, q + r + 1)
+        d = _match_distances(buf, m, range(c), later_at, later[:c], isig[:c])
+        closer = (d < distances[:c]).nonzero()
+        distances[closer], left_at[closer] = d[closer], later_at[closer]
+        return MatrixProfile(distances=distances, indices=left_at, m=m)
 
     def profile(self) -> MatrixProfile:
         """Snapshot of the left profile over the retained window.

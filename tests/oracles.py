@@ -1,7 +1,10 @@
 """Naive reference implementations used as independent test oracles.
 
 Everything here is deliberately slow and literal: plain Python loops over
-the definitions, no shared code with the library paths under test.
+the definitions, no shared code with the library paths under test.  The
+one exception is stream_sweep_profile, the batch profile as an earlier
+version computed it through StreamingProfile.append, kept as a bitwise
+reference for the sweep that replaced it.
 """
 
 import csv
@@ -219,3 +222,54 @@ def csv_writer_text(header, rows):
         csv.writer(buf, lineterminator="\r\n").writerow(row)
         out.append(buf.getvalue()[:-2] + "\n")
     return "".join(out)
+
+
+def stream_sweep_profile(x, m, radius):
+    """Full profile of ``x`` from a StreamingProfile that holds all of it,
+    swept through ``append``: each append's result is the left neighbor,
+    and the covariances it leaves score the newest subsequence in every
+    earlier one's units for the right neighbor, where a strict ``>`` keeps
+    the first of tied later ones.  Flat subsequences take the flat rule
+    afterwards, and the later neighbor wins only where it is strictly
+    closer.  The batch profile must reproduce it bitwise; returns
+    (distances, indices) arrays.
+    """
+    import numpy as np
+
+    from mpstream.core import match_distance
+    from mpstream.stream import StreamingProfile
+
+    x = np.asarray(x, dtype=np.float64)
+    m, r = int(m), int(radius)
+    p = x.size - m + 1
+    distances = np.full(p, np.inf)
+    indices = np.full(p, -1, dtype=np.int64)
+    if r >= p - 1:  # every pair is a trivial match
+        return distances, indices
+    sp = StreamingProfile(m, max(x.size, 2 * m), r)
+    later = np.full(p, -np.inf)  # best later score, in each one's units
+    later_at = np.zeros(p, dtype=np.int64)
+    for k, v in enumerate(x.tolist()):
+        res = sp.append(v)
+        if res is None:  # no candidate outside the zone yet
+            continue
+        l = k - m + 1
+        distances[l], indices[l] = res
+        hi = l - r
+        score = sp._cov[:hi] * sp._isig[l]
+        won = score > later[:hi]
+        later[:hi][won] = score[won]
+        later_at[:hi][won] = l
+
+    flat = sp._isig[:p] == 0.0
+    for i in range(p - r - 1):
+        if flat[i]:
+            lo = i + r + 1
+            j = lo + int(flat[lo:].argmax())
+            s = float(flat[j])
+        else:
+            j, s = int(later_at[i]), float(later[i])
+        d = match_distance(sp._buf, m, i, j, s, float(sp._isig[i]))
+        if d < distances[i]:
+            distances[i], indices[i] = d, j
+    return distances, indices

@@ -8,6 +8,7 @@ from mpstream.core import (
     REFINE_RHO,
     SENTINEL_INDEX,
     TimeSeries,
+    _match_distances,
     correlation_scores,
     covariance_step,
     default_exclusion_radius,
@@ -28,6 +29,7 @@ from oracles import (
     naive_rolling_stats,
     naive_znorm_distance,
     profile_at,
+    stream_sweep_profile,
     windowed_left_profile,
 )
 
@@ -271,6 +273,32 @@ class TestCorrelationKernel:
             assert match_distance(x, m, i, j, -1.5 * scale, isig) == 2.0 * math.sqrt(m)
 
 
+    def test_vectorised_distances_equal_match_distance(self):
+        # _match_distances against match_distance, element by element: flat
+        # queries scoring 0 and 1, correlations at and above the cut, a
+        # rounded one above 1 and one below -1, and far pairs.  m is not a
+        # power of two, so a reordered division shows; a root taken below
+        # the cut would warn (an error here) on the correlations above 1.
+        m, n = 12, 600
+        x = self.channel()
+        w = np.lib.stride_tricks.sliding_window_view(x, m)
+        r = rng(19)
+        i, j = r.integers(0, w.shape[0], size=(2, n))
+        isig = 1.0 / np.maximum(w[i].std(axis=1), 1e-3)
+        rhos = (REFINE_RHO, 0.995, 1.0, 1.0 + 1e-12, 1.5,
+                float(np.nextafter(REFINE_RHO, 0.0)), 0.5, 0.0, -1.0, -1.5)
+        score = r.choice(rhos, size=n) * m / isig
+        flat = np.arange(n) % 5 == 0
+        isig[flat] = 0.0
+        score[flat] = np.arange(flat.sum()) % 2
+        got = _match_distances(x, m, i, j, score, isig)
+        want = [match_distance(x, m, *args) for args in
+                zip(i.tolist(), j.tolist(), score.tolist(), isig.tolist())]
+        assert got.tolist() == want
+        rho = np.where(flat, score, score * isig / m)
+        assert (rho >= REFINE_RHO).sum() > 100 and (rho > 1.0).any()
+        assert (rho < REFINE_RHO).sum() > 100
+
 SPIKE_SERIES = [0, 1, 0, 1, 0, 1, 0, 8, 0, 1, 0, 1]
 
 
@@ -412,6 +440,53 @@ class TestBatchProfile:
             for r in (0, 2, 12):
                 self.assert_equals_brute(x, 8, r)
 
+
+
+def sweep_series(n, m, seed):
+    """A random walk under a 25-sample sine, with two exact plateaus."""
+    r = rng(seed)
+    x = np.cumsum(r.normal(size=n)) * 0.1 + np.sin(2 * np.pi * np.arange(n) / 25)
+    x[n // 4:n // 4 + 3 * m] = x[n // 4]
+    x[n // 2:n // 2 + 2 * m] = 1.5
+    return x
+
+
+class TestSweepIdentity:
+    """The batch sweep against the stream swept through append, which it
+    replaces: distances and indices must be bitwise equal."""
+
+    @staticmethod
+    def assert_same(x, m, r):
+        mp = matrix_profile(x, m, exclusion_radius=r)
+        distances, indices = stream_sweep_profile(x, m, r)
+        assert mp.distances.tobytes() == distances.tobytes()
+        assert mp.indices.tobytes() == indices.tobytes()
+
+    # Around 8192 the sweep's one resync falls on the last row (8191,
+    # 8192) or before it (8300); 17000 resyncs twice.
+    @pytest.mark.parametrize("n, m, r, offset", [
+        (40, 8, 0, 0.0), (40, 8, 4, 1e6), (97, 8, 2, 0.0), (300, 16, 16, 0.0),
+        (300, 16, 3, 1e6), (1000, 32, 8, 0.0), (1000, 32, 0, 0.0),
+        (2500, 64, 16, 50.0), (2000, 12, 3, 0.0), (8191, 64, 16, 0.0),
+        (8192, 64, 16, 0.0), (8192, 64, 16, 1e6), (8300, 64, 16, 0.0),
+        (17000, 64, 16, 0.0)])
+    def test_synthetic(self, n, m, r, offset):
+        self.assert_same(sweep_series(n, m, n + m + r) + offset, m, r)
+
+    def test_exactly_periodic(self):
+        # Exact repeats tie, and near duplicates take the refine branch.
+        t = np.arange(1200)
+        self.assert_same(np.sin(2 * np.pi * t / 25), 8, 2)
+        self.assert_same(np.tile([0.0, 1.0, 3.0, 1.0, 2.0], 200), 10, 3)
+
+    @pytest.mark.parametrize("seed", [1, 4242])
+    def test_benchmark_slice(self, seed):
+        # The batch benchmark's slice: 20000 samples around the plateau.
+        x = four_fault_dataset(GeneratorConfig(seed=seed)).channel.samples
+        self.assert_same(x[30000:50000], 64, 16)
+
+    def test_sensor_plateau(self):
+        self.assert_same(default_channel()[35000:45000], 64, 16)
 
 class TestDiscords:
     def test_argmax(self):
@@ -595,10 +670,10 @@ class TestOffsetRobustness:
         assert err <= 1e-9
 
     def test_long_batch_matches_oracle_across_sweep_resyncs(self):
-        # 20000 samples around the grid fault: the sweep's stream, like any
-        # stream, recomputes its running sum and newest covariance row from
-        # the samples every min(capacity, 8192) appends, here at 8192 and
-        # 16384.
+        # 20000 samples around the grid fault: the sweep's carry, the
+        # stream's own, recomputes the running sum and the newest
+        # covariance row from the samples every min(capacity, 8192)
+        # samples, here at samples 8192 and 16384.
         x = default_channel()[70000:90000]
         positions = np.sort(rng(15).choice(x.size - self.M + 1, size=100, replace=False))
         want = profile_at(x, self.M, default_exclusion_radius(self.M), positions)
