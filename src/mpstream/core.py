@@ -4,10 +4,13 @@ The profile of a series is, for every length-``m`` subsequence, the distance
 to its nearest neighbor elsewhere in the series, excluding trivial
 self-matches around the subsequence's own position.  Two implementations are
 provided: :func:`matrix_profile_brute`, a direct all-pairs reference, and
-:func:`matrix_profile`, an O(n^2)-time / O(n)-space sweep over the buffers,
-carry and kernel of a stream that holds the whole series, not its tiers
-(see :mod:`mpstream.stream`).  Both share the same degenerate conventions
-for zero-variance (flat) subsequences.
+:func:`matrix_profile`, an O(n^2)-time sweep over the buffers, carry and
+kernel of a stream that holds the whole series, not its tiers (see
+:mod:`mpstream.stream`).  The sweep runs in bands of rows, one per usable
+CPU, each but the first in a forked worker, with O(n) space per band; each
+band starts carrying at a resync row, so the result is bitwise that of one
+band.  Both share the same degenerate conventions for zero-variance (flat)
+subsequences.
 
 :func:`covariance_step`, :func:`correlation_scores` and
 :func:`match_distance`, the stream's distance kernel (the brute force uses
@@ -16,13 +19,18 @@ none of it), run SCAMP's centred covariance recurrence (Zimmerman et al.,
 subsequence with every candidate to the next, the second scores every
 candidate, the third turns the winner's score into its distance.
 
-Apart from the buffers the kernel fills, everything here is a pure
-function of its inputs.
+Apart from the buffers the kernel fills and the workers that
+:func:`matrix_profile` forks and reaps before it returns, everything here is
+a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +60,17 @@ SENTINEL_INDEX = -1
 # distance is near zero; matches at least this correlated get their distance
 # re-evaluated directly from the samples.
 REFINE_RHO = 0.99
+
+# The batch profile's bands.  Workers are forked only on Linux before CPython
+# 3.12, from which os.fork warns in a process with threads (numpy's BLAS pool
+# is one).  A worker band needs at least BAND_ROWS rows to repay its fork.
+# Cuts balance a cost model in candidate scores: a scored row of l candidates
+# costs l + ROW_COST, its fixed call overhead, and a row that a band only
+# carries, CARRY_COST of that.
+_FORKS = sys.platform == "linux" and sys.version_info < (3, 12)
+BAND_ROWS = 2048
+ROW_COST = 10000
+CARRY_COST = 0.7
 
 
 @dataclass(frozen=True)
@@ -201,16 +220,22 @@ def _znorm_windows(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_distance(a: np.ndarray, b: np.ndarray, m: int) -> float:
-    """Distance between two windows computed directly from their samples."""
-    sa = a.std()
-    sb = b.std()
+    """Distance between two windows computed directly from their samples.
+
+    Each window is centred once; its mean and std are bitwise those of
+    ``a.mean()`` and ``a.std()``, which run the same reductions.
+    """
+    ca = a - np.add.reduce(a) / m
+    cb = b - np.add.reduce(b) / m
+    sa = math.sqrt(np.add.reduce(ca * ca) / m)
+    sb = math.sqrt(np.add.reduce(cb * cb) / m)
     flat_a = sa == 0.0 or np.ptp(a) == 0.0
     flat_b = sb == 0.0 or np.ptp(b) == 0.0
     if flat_a and flat_b:
         return 0.0
     if flat_a or flat_b:
         return math.sqrt(2.0 * m)
-    z = (a - a.mean()) / sa - (b - b.mean()) / sb
+    z = ca / sa - cb / sb
     d2 = float(np.dot(z, z))
     return math.sqrt(min(max(d2, 0.0), 4.0 * m))
 
@@ -330,13 +355,113 @@ def matrix_profile_brute(series, m: int, exclusion_radius: int | None = None) ->
     return MatrixProfile(distances=distances, indices=indices, m=m)
 
 
+def _band_count(p: int) -> int:
+    """Bands the profile of ``p`` subsequences runs in: one per usable CPU
+    and at most one per :data:`BAND_ROWS` rows where workers are forked,
+    else one."""
+    if not _FORKS:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), p // BAND_ROWS))
+
+
+def _band_cuts(p: int, m: int, resync: int, bands: int) -> list[int]:
+    """Row cuts ``0 = c_0 < ... < c_k = p`` of ``k <= bands`` bands whose
+    costs are about equal: the largest is the least it can be under the cost
+    model of :data:`ROW_COST` and :data:`CARRY_COST`.  A band starting at
+    ``r0`` also carries the rows from the last resync row at or before
+    ``r0`` (rows ``l`` with ``(l + m) % resync == 0``) unscored."""
+    bands = min(bands, p)
+    if bands == 1:
+        return [0, p]
+    cum = np.concatenate(([0.0], np.cumsum(np.arange(ROW_COST, p + ROW_COST, dtype=float))))
+
+    def cut(budget):
+        cuts = [0]
+        while cuts[-1] < p and len(cuts) <= bands:
+            r0 = cuts[-1]
+            k = (r0 + m) // resync
+            s = k * resync - m if k else 0
+            top = cum[r0] + budget - CARRY_COST * (cum[r0] - cum[s])
+            cuts.append(max(r0 + 1, int(np.searchsorted(cum, top, side="right")) - 1))
+        return cuts
+
+    lo, hi = cum[p] / bands, cum[p]  # bounds on the largest band's cost
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if cut(mid)[-1] == p else (mid, hi)
+    return cut(hi)
+
+
+def _in_bands(band, outs):
+    """Run ``band(b)`` for every band ``b < len(outs)``, which fills the
+    C-contiguous arrays ``outs[b]``: band 0 here, each other one in a child
+    made by ``os.fork``, which inherits every input and sends its arrays
+    back as raw bytes over a pipe, read into the parent's own ``outs[b]``.
+    Band ``b`` runs on the ``b``-th usable CPU (cyclically): left to the
+    scheduler, a child can share its parent's CPU for most of a short
+    profile.  The calling thread's CPU mask is restored before it returns.
+
+    A child ends in ``os._exit``, never returning into the caller's stack.
+    The parent reaps every child before it returns or raises, kills them
+    first if it raises (an interrupt included), and raises if one failed.
+    """
+    if len(outs) == 1:
+        return band(0)
+    cpus = sorted(os.sched_getaffinity(0))
+    pids, pipes = [], []
+    try:
+        for b in range(1, len(outs)):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if not pid:
+                code = 1
+                try:
+                    os.close(rfd)
+                    os.sched_setaffinity(0, {cpus[b % len(cpus)]})
+                    band(b)
+                    with open(wfd, "wb") as f:
+                        for a in outs[b]:
+                            f.write(a.data)
+                    code = 0
+                except BaseException:  # reported here; the parent raises
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            pids.append(pid)
+            pipes.append(open(rfd, "rb"))
+        os.sched_setaffinity(0, {cpus[0]})
+        band(0)
+        for b, f in enumerate(pipes, 1):
+            for a in outs[b]:
+                if f.readinto(a.data.cast("B")) != a.nbytes:
+                    raise RuntimeError(f"profile band {b} failed in its worker")
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.sched_setaffinity(0, cpus)
+        for f in pipes:
+            f.close()
+        codes = [os.waitpid(pid, 0)[1] for pid in pids]
+    if any(codes):
+        raise RuntimeError(f"a profile band's worker failed: wait statuses {codes}")
+
+
 def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> MatrixProfile:
-    """Matrix Profile in O(n^2) time and O(n) auxiliary space.
+    """Matrix Profile in O(n^2) time and O(n) auxiliary space per band.
 
     Equivalent to :func:`matrix_profile_brute` within 1e-6 per element
     (indices up to distance ties).  It sweeps the buffers, carry and kernel
     of a :class:`~mpstream.stream.StreamingProfile` that holds the whole
-    series, without the tiers of its appends.
+    series, without the tiers of its appends, in bands of rows: one per
+    usable CPU, the first in this process and each other one in a forked
+    worker.  Every band starts carrying at a resync row, so the result is
+    bitwise that of one band.  It runs as one band, in this process, on one
+    usable CPU, off Linux, from CPython 3.12 and below ``2 * BAND_ROWS``
+    subsequences.
 
     Parameters
     ----------
@@ -356,7 +481,8 @@ def matrix_profile(series, m: int, exclusion_radius: int | None = None) -> Matri
                              indices=np.full(p, SENTINEL_INDEX, dtype=np.int64), m=m)
     from mpstream.stream import StreamingProfile  # stream imports this module
 
-    return StreamingProfile(m, max(x.size, 2 * m), r)._sweep(x)
+    stream = StreamingProfile(m, max(x.size, 2 * m), r)
+    return stream._sweep(x, _band_cuts(p, m, stream._resync, _band_count(p)))
 
 
 def discords(profile: MatrixProfile, k: int, exclusion_radius: int | None = None) -> list[tuple[int, float]]:

@@ -8,6 +8,10 @@ causal detector consumes: the stream never looks at samples that have not
 arrived yet.  The batch profile, :func:`~mpstream.core.matrix_profile`,
 sweeps a stream that holds the whole series and so never evicts, sharing
 its buffers, :meth:`~StreamingProfile._carry` and kernel but not its tiers.
+It sweeps in bands of rows (:meth:`~StreamingProfile._band`), one per
+worker; a band runs every row before its own through the scalar prologue
+and carries every lag only from the last resync row, where the carry
+restarts from the samples, so its rows are bitwise those of one sweep.
 
 Memory is O(capacity) regardless of how many samples are ingested; the
 oldest sample is evicted once the window is full.  The stream keeps no
@@ -36,6 +40,7 @@ from mpstream.core import (
     SENTINEL_INDEX,
     MatrixProfile,
     _constant_windows,
+    _in_bands,
     _match_distances,
     _validate_radius,
     correlation_scores,
@@ -386,31 +391,82 @@ class StreamingProfile:
             self.exact_steps += 1
         return value, self._offset + i
 
-    def _sweep(self, x: np.ndarray) -> MatrixProfile:
+    def _sweep(self, x: np.ndarray, cuts) -> MatrixProfile:
         """Full profile of ``x`` in this fresh stream, which must hold all of
-        it and takes no appends afterwards.  Each row takes :meth:`append`'s
-        scalar prologue and flat rule (an equal run is a constant window)
-        and :meth:`_carry`; no tier or ``settles``.  Its first argmax is its
-        left neighbor, as :meth:`_search` finds it; ``cov * (1/std_new)``
-        scores it in each earlier one's units, and a strict ``>`` keeps the
-        first of tied later neighbors.  Flat subsequences take the flat rule
-        afterwards, one vectorised :func:`~mpstream.core.match_distance`
-        gives every distance, and the later neighbor wins only where it is
-        strictly closer.
+        it and takes no appends afterwards.  The rows run in bands
+        ``[cuts[b], cuts[b + 1])`` (:meth:`_band`) under
+        :func:`~mpstream.core._in_bands`: band 0 here, each other one in a
+        forked worker.  Bands are disjoint, so the left neighbors merge by
+        row; the later ones merge by a strict ``>`` in band order, so the
+        first of tied later neighbors wins, as in one band.  Flat
+        subsequences then take the flat rule, one vectorised
+        :func:`~mpstream.core.match_distance` gives every distance, and the
+        later neighbor wins only where it is strictly closer.
         """
         m, r = self.m, self.exclusion_radius
         n, p = x.size, x.size - m + 1
-        buf, cov, isig, score = self._buf, self._cov, self._isig, self._t1
-        bufv, covv, isigv, dfv, dgv = self._bufv, self._covv, self._isigv, self._dfv, self._dgv
+        buf, isig = self._buf, self._isig
         np.subtract(x, x[0], out=buf[:n])
         const = memoryview(_constant_windows(buf[:n], m))
+        c = p - r - 1  # subsequences [0, c) have later candidates
         left = np.zeros(p)  # best earlier score, in each one's units
         left_at = np.full(p, SENTINEL_INDEX, dtype=np.int64)
+        later = np.full(c, -np.inf)  # best later score, in each one's units
+        later_at = np.zeros(c, dtype=np.int64)
+        bands, outs = list(zip(cuts, cuts[1:])), []
+        for r0, r1 in bands:
+            # A band's rows reach the columns before its last row's zone.
+            # Band 0 keeps its later scores in place; the others' merge below.
+            cols = max(r1 - 1 - r, 0)
+            mine = ((later[:cols], later_at[:cols]) if not r0 else
+                    (np.full(cols, -np.inf), np.zeros(cols, dtype=np.int64)))
+            outs.append((left[r0:r1], left_at[r0:r1], *mine, isig[r0:r1]))
+        # _band fills the isig it sends in place.
+        _in_bands(lambda b: self._band(const, *bands[b], *outs[b][:4]), outs)
+        for _, _, s, at, _ in outs[1:]:
+            w = np.greater(s, later[:s.size]).nonzero()
+            later[w], later_at[w] = s[w], at[w]
+
+        distances = np.full(p, np.inf)
+        distances[r + 1:] = _match_distances(buf, m, range(r + 1, p), left_at[r + 1:],
+                                             left[r + 1:], isig[r + 1:p])
+        # Flat ones: the first later flat one scores 1; with none, the next one scores 0.
+        flat = (isig[:p] == 0.0).nonzero()[0]
+        q = flat[flat < c]
+        j = np.append(flat, p)[np.searchsorted(flat, q + r + 1)]
+        later[q] = j < p
+        later_at[q] = np.where(j < p, j, q + r + 1)
+        d = _match_distances(buf, m, range(c), later_at, later, isig[:c])
+        closer = (d < distances[:c]).nonzero()
+        distances[closer], left_at[closer] = d[closer], later_at[closer]
+        return MatrixProfile(distances=distances, indices=left_at, m=m)
+
+    def _band(self, const, r0: int, r1: int, left, left_at, later, later_at):
+        """Rows ``[r0, r1)`` of :meth:`_sweep`.  ``left`` and ``left_at`` get
+        each row's best score, in its own units, and the candidate that gave
+        it first: its left neighbor, as :meth:`_search` finds it.  ``later``
+        and ``later_at`` get each column's best score from these rows, in
+        the column's units (``cov * (1/std_new)``), and the first row that
+        gave it.  The band fills the stream's ``_isig`` up to ``r1``;
+        ``const`` marks the constant windows, which is :meth:`append`'s flat
+        rule (an equal run).
+
+        Every row before ``r1`` takes :meth:`append`'s scalar prologue.  The
+        band carries every lag only from the last resync row at or before
+        ``r0``, where :meth:`_carry` recomputes the running sum and the whole
+        row from the samples; before that row it carries lag 0 alone, as a
+        settled append does, which is bitwise
+        :func:`~mpstream.core.covariance_step`'s lag 0.  So its rows are
+        bitwise those of one band over every row.
+        """
+        m, r, resync = self.m, self.exclusion_radius, self._resync
+        cov, isig, score = self._cov, self._isig, self._t1
+        bufv, covv, isigv, dfv, dgv = self._bufv, self._covv, self._isigv, self._dfv, self._dgv
         leftv, left_atv = memoryview(left), memoryview(left_at)
-        later = np.full(p, -np.inf)  # best later score, in each one's units
-        later_at = np.zeros(p, dtype=np.int64)
-        won = np.empty(p, dtype=bool)
-        for l in range(p):
+        won = np.empty(later.size, dtype=bool)
+        k = (r0 + m) // resync
+        carry_from = k * resync - m if k else 0  # the last resync row at or before r0
+        for l in range(r1):
             end = l + m
             self._end = end
             if l:
@@ -424,36 +480,24 @@ class StreamingProfile:
             else:
                 df_l = dg_l = 0.0
             dfv[l], dgv[l] = df_l, dg_l
-            self._carry(0, l, end, df_l, dg_l)
+            if 0 < l < carry_from and end % resync:
+                covv[l] = (dg_l * df_l + covv[l - 1]) + df_l * dg_l
+            else:
+                self._carry(0, l, end, df_l, dg_l)
             var = covv[l] / m
             isig_l = 0.0 if var <= 0.0 or const[l] else 1.0 / math.sqrt(var)
             isigv[l] = isig_l
             hi = l - r
-            if hi <= 0:  # no candidate outside the zone yet
+            if l < r0 or hi <= 0:  # not scored here, or no candidate outside the zone yet
                 continue
             row = cov[:hi]
             s = correlation_scores(row, isig_l, isig[:hi], score[:hi])
             i = int(s.argmax())
-            leftv[l], left_atv[l] = s.item(i), i
+            leftv[l - r0], left_atv[l - r0] = s.item(i), i
             np.multiply(row, isig_l, out=s)
             w = np.greater(s, later[:hi], out=won[:hi]).nonzero()
             later[w] = s[w]
             later_at[w] = l
-
-        distances = np.full(p, np.inf)
-        distances[r + 1:] = _match_distances(buf, m, range(r + 1, p), left_at[r + 1:],
-                                             left[r + 1:], isig[r + 1:p])
-        # Flat ones: the first later flat one scores 1; with none, the next one scores 0.
-        c = p - r - 1  # subsequences [0, c) have later candidates
-        flat = (isig[:p] == 0.0).nonzero()[0]
-        q = flat[flat < c]
-        j = np.append(flat, p)[np.searchsorted(flat, q + r + 1)]
-        later[q] = j < p
-        later_at[q] = np.where(j < p, j, q + r + 1)
-        d = _match_distances(buf, m, range(c), later_at, later[:c], isig[:c])
-        closer = (d < distances[:c]).nonzero()
-        distances[closer], left_at[closer] = d[closer], later_at[closer]
-        return MatrixProfile(distances=distances, indices=left_at, m=m)
 
     def profile(self) -> MatrixProfile:
         """Snapshot of the left profile over the retained window.

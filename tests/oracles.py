@@ -2,9 +2,10 @@
 
 Everything here is deliberately slow and literal: plain Python loops over
 the definitions, no shared code with the library paths under test.  The
-one exception is stream_sweep_profile, the batch profile as an earlier
-version computed it through StreamingProfile.append, kept as a bitwise
-reference for the sweep that replaced it.
+exceptions are bitwise references for code that replaced them:
+stream_sweep_profile, the batch profile as an earlier version computed it
+through StreamingProfile.append, and numpy_pair_distance, the direct
+distance as it was computed with numpy's std, ptp and mean.
 """
 
 import csv
@@ -273,3 +274,22 @@ def stream_sweep_profile(x, m, radius):
         if d < distances[i]:
             distances[i], indices[i] = d, j
     return distances, indices
+
+
+def numpy_pair_distance(a, b, m):
+    """Distance between two windows from numpy's ``std``, ``ptp`` and
+    ``mean`` of each, as :func:`mpstream.core._pair_distance` computed it
+    before it centred each window once; it must reproduce this bitwise."""
+    import numpy as np
+
+    sa = a.std()
+    sb = b.std()
+    flat_a = sa == 0.0 or np.ptp(a) == 0.0
+    flat_b = sb == 0.0 or np.ptp(b) == 0.0
+    if flat_a and flat_b:
+        return 0.0
+    if flat_a or flat_b:
+        return math.sqrt(2.0 * m)
+    z = (a - a.mean()) / sa - (b - b.mean()) / sb
+    d2 = float(np.dot(z, z))
+    return math.sqrt(min(max(d2, 0.0), 4.0 * m))

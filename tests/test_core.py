@@ -1,14 +1,18 @@
 import functools
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
+import mpstream.core as core
 from mpstream.core import (
     REFINE_RHO,
     SENTINEL_INDEX,
     TimeSeries,
     _match_distances,
+    _pair_distance,
     correlation_scores,
     covariance_step,
     default_exclusion_radius,
@@ -28,6 +32,7 @@ from oracles import (
     naive_matrix_profile,
     naive_rolling_stats,
     naive_znorm_distance,
+    numpy_pair_distance,
     profile_at,
     stream_sweep_profile,
     windowed_left_profile,
@@ -155,6 +160,32 @@ class TestZnormDistance:
             assert znorm_distance(alpha * a + beta, b) == pytest.approx(d, abs=1e-9)
             assert znorm_distance(a, alpha * b + beta) == pytest.approx(d, abs=1e-9)
             assert d == pytest.approx(naive_znorm_distance(list(a), list(b)), abs=1e-9)
+
+    def test_centred_once_equals_numpy_statistics(self):
+        # _pair_distance centres each window once; numpy's std, ptp and mean
+        # of each must give the same bits, flat decisions included.  Windows
+        # are random, offset by 1e6, near-constant (a few ulps apart) or
+        # flat, whose float mean often leaves a std residue; m reaches past
+        # numpy's 8-wide and 128-wide pairwise summation blocks.
+        r = rng(12)
+
+        def window(m, kind):
+            v = float(r.normal()) * 10.0
+            if kind == 0:
+                return r.normal(size=m)
+            if kind == 1:
+                return r.normal(size=m) + 1e6
+            if kind == 2:
+                return v + r.integers(0, 3, size=m) * np.spacing(v)
+            return np.full(m, v)
+
+        residues = 0
+        for _ in range(4000):
+            m = int(r.integers(2, 300))
+            a, b = window(m, r.integers(4)), window(m, r.integers(4))
+            assert _pair_distance(a, b, m).hex() == numpy_pair_distance(a, b, m).hex()
+            residues += np.ptp(a) == 0.0 and a.std() != 0.0
+        assert residues > 50
 
 
 class TestCorrelationKernel:
@@ -451,16 +482,32 @@ def sweep_series(n, m, seed):
     return x
 
 
+# The band counts every identity case runs at.  Bands fork workers only where
+# matrix_profile would fork them.
+BANDS = (1, 2, 3, 4) if core._FORKS else (1,)
+forks = pytest.mark.skipif(not core._FORKS, reason="workers are forked only on Linux "
+                           "before CPython 3.12")
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
 class TestSweepIdentity:
     """The batch sweep against the stream swept through append, which it
-    replaces: distances and indices must be bitwise equal."""
+    replaces: distances and indices must be bitwise equal at every band
+    count, and with bands cut at and next to resync rows."""
 
     @staticmethod
-    def assert_same(x, m, r):
-        mp = matrix_profile(x, m, exclusion_radius=r)
+    def assert_same(monkeypatch, x, m, r, counts=BANDS):
         distances, indices = stream_sweep_profile(x, m, r)
-        assert mp.distances.tobytes() == distances.tobytes()
-        assert mp.indices.tobytes() == indices.tobytes()
+        for k in counts:
+            monkeypatch.setattr(core, "_band_count", lambda p: k)
+            mp = matrix_profile(x, m, exclusion_radius=r)
+            assert mp.distances.tobytes() == distances.tobytes(), k
+            assert mp.indices.tobytes() == indices.tobytes(), k
 
     # Around 8192 the sweep's one resync falls on the last row (8191,
     # 8192) or before it (8300); 17000 resyncs twice.
@@ -470,23 +517,93 @@ class TestSweepIdentity:
         (2500, 64, 16, 50.0), (2000, 12, 3, 0.0), (8191, 64, 16, 0.0),
         (8192, 64, 16, 0.0), (8192, 64, 16, 1e6), (8300, 64, 16, 0.0),
         (17000, 64, 16, 0.0)])
-    def test_synthetic(self, n, m, r, offset):
-        self.assert_same(sweep_series(n, m, n + m + r) + offset, m, r)
+    def test_synthetic(self, monkeypatch, n, m, r, offset):
+        self.assert_same(monkeypatch, sweep_series(n, m, n + m + r) + offset, m, r)
 
-    def test_exactly_periodic(self):
+    def test_exactly_periodic(self, monkeypatch):
         # Exact repeats tie, and near duplicates take the refine branch.
         t = np.arange(1200)
-        self.assert_same(np.sin(2 * np.pi * t / 25), 8, 2)
-        self.assert_same(np.tile([0.0, 1.0, 3.0, 1.0, 2.0], 200), 10, 3)
+        self.assert_same(monkeypatch, np.sin(2 * np.pi * t / 25), 8, 2)
+        self.assert_same(monkeypatch, np.tile([0.0, 1.0, 3.0, 1.0, 2.0], 200), 10, 3)
 
     @pytest.mark.parametrize("seed", [1, 4242])
-    def test_benchmark_slice(self, seed):
+    def test_benchmark_slice(self, monkeypatch, seed):
         # The batch benchmark's slice: 20000 samples around the plateau.
         x = four_fault_dataset(GeneratorConfig(seed=seed)).channel.samples
-        self.assert_same(x[30000:50000], 64, 16)
+        self.assert_same(monkeypatch, x[30000:50000], 64, 16)
 
-    def test_sensor_plateau(self):
-        self.assert_same(default_channel()[35000:45000], 64, 16)
+    def test_sensor_plateau(self, monkeypatch):
+        self.assert_same(monkeypatch, default_channel()[35000:45000], 64, 16)
+
+    # A band cut on a resync row (8192 - m) carries nothing unscored; one a
+    # row later carries that row.  17000 samples resync twice.
+    @forks
+    @pytest.mark.parametrize("n, inner", [
+        (8300, [8128]), (8300, [8129]), (17000, [8128, 16320]), (17000, [8129, 16321])])
+    def test_cuts_at_and_after_resync_rows(self, monkeypatch, n, inner):
+        m, r = 64, 16
+        monkeypatch.setattr(core, "_band_cuts", lambda p, *_: [0, *inner, p])
+        self.assert_same(monkeypatch, sweep_series(n, m, n + m + r), m, r, counts=[len(inner) + 1])
+
+    @forks
+    def test_more_bands_than_rows(self, monkeypatch):
+        # 12 samples at m = 8 are 5 rows: one band each.
+        assert core._band_cuts(5, 8, 12, 8) == [0, 1, 2, 3, 4, 5]
+        self.assert_same(monkeypatch, sweep_series(12, 8, 3), 8, 1, counts=[8])
+
+    def test_cuts(self):
+        # Strictly increasing from 0 to p, at most one band per row, and a
+        # band starting past a resync row pays for the rows it carries.
+        for p, bands in ((2, 2), (100, 3), (19937, 2), (19937, 5), (99937, 4)):
+            cuts = core._band_cuts(p, 64, 8192, bands)
+            assert cuts[0] == 0 and cuts[-1] == p and len(cuts) <= bands + 1
+            assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        low, high = core._band_cuts(19937, 64, 8192, 2), core._band_cuts(19937, 64, 10**9, 2)
+        assert high[1] - 8128 > low[1] - 8128 > 0
+
+
+class TestBandWorkers:
+    """matrix_profile's forked workers: none outlives it, a failed one fails
+    it, and the calling thread's CPU mask is back as it was."""
+
+    x = sweep_series(6000, 32, 7)
+
+    @forks
+    def test_no_child_left(self, monkeypatch):
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setattr(core, "_band_count", lambda p: 3)
+        assert matrix_profile(self.x, 32).distances.size == 5969
+        assert no_child_left() and os.sched_getaffinity(0) == mask
+
+    @forks
+    @pytest.mark.parametrize("where, error", [("worker", RuntimeError),
+                                              ("parent", KeyboardInterrupt)])
+    def test_a_failed_band_fails_the_profile(self, monkeypatch, capfd, where, error):
+        # A worker that raises exits nonzero, and the parent raises.  A
+        # parent interrupted in its own band kills its workers, here still
+        # asleep, and reaps them.
+        mask = os.sched_getaffinity(0)
+        band = StreamingProfile._band
+
+        def failing(self, const, r0, *args):
+            if where == "worker" and r0:
+                raise ValueError("band")
+            if where == "parent":
+                if not r0:
+                    raise KeyboardInterrupt
+                time.sleep(60)
+            return band(self, const, r0, *args)
+
+        monkeypatch.setattr(core, "_band_count", lambda p: 3)
+        monkeypatch.setattr(StreamingProfile, "_band", failing)
+        t = time.monotonic()
+        with pytest.raises(error):
+            matrix_profile(self.x, 32)
+        assert time.monotonic() - t < 30
+        assert no_child_left() and os.sched_getaffinity(0) == mask
+        if where == "worker":
+            assert "ValueError: band" in capfd.readouterr().err
+
 
 class TestDiscords:
     def test_argmax(self):
